@@ -16,9 +16,8 @@
 //!   with the required max |ΔV| ≤ 1e-12 agreement (the batch is
 //!   bitwise-identical by construction);
 //! * the persistent worker pool: small-grid per-solve latency of the
-//!   pool dispatch vs the legacy per-solve scoped spawn at parallelism
-//!   2 (and 4 in full runs), **asserting zero allocator calls** across
-//!   the warm pool solves;
+//!   pool dispatch at parallelism 2 (and 4 in full runs), **asserting
+//!   zero allocator calls** across the warm pool solves;
 //! * active-lane compaction: fixed-budget batch-64 masked sweeps at 1/8/
 //!   32 active lanes, compacted vs uncompacted (asserted bitwise
 //!   identical) against a scalar single-RHS reference;
@@ -86,7 +85,7 @@ use voltprop_core::{
 use voltprop_grid::Stack3d;
 use voltprop_solvers::rowbased::{RbWorkspace, RowBased, TierProblem};
 use voltprop_solvers::SolverError;
-use voltprop_solvers::{LaneReport, ParDispatch, SweepSchedule, TierEngine};
+use voltprop_solvers::{LaneReport, SweepSchedule, TierEngine};
 use voltprop_sparse::vec_ops;
 
 #[global_allocator]
@@ -398,20 +397,18 @@ fn batch_block(w: usize, h: usize, tiers: usize, batch_sizes: &[usize]) -> Strin
     )
 }
 
-/// Times `solves` fixed-budget parallel engine solves under the given
-/// dispatch, returning `(ns_per_solve, alloc_calls_during_timed_loop)`.
+/// Times `solves` fixed-budget parallel engine solves on the worker pool,
+/// returning `(ns_per_solve, alloc_calls_during_timed_loop)`.
 /// `tolerance = 0` never triggers, so every solve runs exactly `sweeps`
 /// sweeps and the returned error is ignored — the loop measures dispatch
 /// plus sweep cost, nothing else.
-fn time_dispatch_solves(
+fn time_pool_solves(
     fixture: &TierFixture,
     threads: usize,
-    dispatch: ParDispatch,
     solves: usize,
     sweeps: usize,
 ) -> (f64, usize) {
     let mut engine = fixture.engine(SweepSchedule::RedBlack { threads });
-    engine.set_dispatch(dispatch);
     let mut v = fixture.v0.clone();
     // Warm-up: spawns pool workers, sizes pinned scratch, faults pages.
     for _ in 0..4 {
@@ -427,28 +424,23 @@ fn time_dispatch_solves(
 }
 
 /// The pool-latency experiment: per-solve latency of small-grid parallel
-/// solves, persistent pool vs the legacy per-solve scoped spawn, at each
-/// thread count. Warm pool solves must not touch the allocator (asserted
-/// — this is the CI smoke contract).
+/// solves on the persistent pool at each thread count. Warm pool solves
+/// must not touch the allocator (asserted — this is the CI smoke
+/// contract).
 fn pool_block(edge: usize, threads_list: &[usize], solves: usize, sweeps: usize) -> String {
     eprintln!("worker pool {edge}x{edge} ({solves} solves x {sweeps} sweeps)...");
     let fixture = TierFixture::new(edge);
     let mut lines = Vec::new();
     for &threads in threads_list {
-        // Two interleaved passes per dispatch, keeping the faster one:
-        // on oversubscribed machines the scheduler drifts between runs
-        // and the minimum is the stable dispatch-cost estimate.
+        // Two passes, keeping the faster one: on oversubscribed
+        // machines the scheduler drifts between runs and the minimum is
+        // the stable dispatch-cost estimate.
         let mut pool_ns = f64::INFINITY;
-        let mut scoped_ns = f64::INFINITY;
         let mut pool_allocs = 0usize;
         for _ in 0..2 {
-            let (ns, allocs) =
-                time_dispatch_solves(&fixture, threads, ParDispatch::Pool, solves, sweeps);
+            let (ns, allocs) = time_pool_solves(&fixture, threads, solves, sweeps);
             pool_ns = pool_ns.min(ns);
             pool_allocs += allocs;
-            let (ns, _) =
-                time_dispatch_solves(&fixture, threads, ParDispatch::ScopedSpawn, solves, sweeps);
-            scoped_ns = scoped_ns.min(ns);
         }
         assert_eq!(
             pool_allocs, 0,
@@ -456,11 +448,8 @@ fn pool_block(edge: usize, threads_list: &[usize], solves: usize, sweeps: usize)
         );
         lines.push(format!(
             "      {{ \"parallelism\": {threads}, \"pool_ns_per_solve\": {}, \
-             \"scoped_spawn_ns_per_solve\": {}, \"pool_warm_alloc_calls\": {pool_allocs}, \
-             \"scoped_over_pool\": {} }}",
+             \"pool_warm_alloc_calls\": {pool_allocs} }}",
             json_f64(pool_ns),
-            json_f64(scoped_ns),
-            json_f64(scoped_ns / pool_ns),
         ));
     }
     format!(
@@ -651,12 +640,14 @@ fn session_block(w: usize, h: usize, tiers: usize, k: usize, steps: usize) -> St
 /// `steps`-step waveform on a decap-loaded stack with backward-Euler
 /// companion models. Measures warm steps/s per backend on the **single**
 /// prefactored `G + C/h` system — asserting **zero allocator calls** and
-/// zero re-prefactors across the warm step loop — and times the same
+/// zero re-prefactors across every warm step loop — and times the same
 /// waveform with `refactor_each_step`, committing the factor-reuse
 /// speedup (asserted > 1: reusing the factor must never lose to
-/// rebuilding it every step).
-fn transient_block(w: usize, h: usize, tiers: usize, steps: usize) -> String {
-    eprintln!("transient engine {w}x{h}x{tiers} ({steps} steps)...");
+/// rebuilding it every step). Every configuration keeps its fastest of
+/// `passes` interleaved runs, visited in a rotated order per pass, so
+/// host noise cannot decide the gate.
+fn transient_block(w: usize, h: usize, tiers: usize, steps: usize, passes: usize) -> String {
+    eprintln!("transient engine {w}x{h}x{tiers} ({steps} steps, min of {passes})...");
     let stack = Stack3d::builder(w, h, tiers)
         .uniform_load(1e-4)
         .grid_capacitance(2e-13)
@@ -670,55 +661,81 @@ fn transient_block(w: usize, h: usize, tiers: usize, steps: usize) -> String {
     // per step, so the warm step loop stays allocation-free.
     let frames = sweep_loads(&stack, steps);
     let watch = [nn / 2];
+    // Each backend caches its own companion prefactor, so the three
+    // factor-reusing configurations share one session. The
+    // refactor-every-step baseline tears every prefactor down, so it
+    // runs on a session of its own.
     let mut session = Session::build(&stack, VpConfig::default()).expect("session builds");
-
-    let measure = |session: &mut Session,
-                   backend: Backend,
-                   refactor_each_step: bool|
-     -> (f64, usize, TransientReport) {
-        let request = TransientParams::new(&stack, h_step)
-            .backend(backend)
-            .observe(&watch)
-            .refactor_each_step(refactor_each_step);
-        let mut sink = TraceSink::with_capacity(steps, 1);
-        let run_once = |session: &mut Session, sink: &mut TraceSink| -> TransientReport {
-            let mut wave = FnWaveform::new(steps, |s, _t, loads: &mut [f64]| {
-                loads.copy_from_slice(&frames[s * nn..(s + 1) * nn]);
-            });
-            sink.clear();
-            session
-                .transient_dynamic(&mut wave, sink, &request)
-                .expect("transient run")
-        };
-        run_once(session, &mut sink); // cold: builds + factors the companion system
-        let calls_before = alloc::alloc_calls();
-        let start = Instant::now();
-        let report = run_once(session, &mut sink);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        let allocs = alloc::alloc_calls() - calls_before;
-        assert_eq!(report.steps, steps);
-        if refactor_each_step {
-            assert_eq!(
-                report.refactors, steps,
-                "{backend:?}: refactor_each_step must rebuild the factor every step"
-            );
+    let mut refactor_session = Session::build(&stack, VpConfig::default()).expect("session builds");
+    let configs = [
+        (Backend::VoltProp, false),
+        (Backend::Rb3d, false),
+        (Backend::Pcg, false),
+        (Backend::VoltProp, true),
+    ];
+    let requests: Vec<TransientParams> = configs
+        .iter()
+        .map(|&(backend, refactor_each_step)| {
+            TransientParams::new(&stack, h_step)
+                .backend(backend)
+                .observe(&watch)
+                .refactor_each_step(refactor_each_step)
+        })
+        .collect();
+    let mut sink = TraceSink::with_capacity(steps, 1);
+    let mut run_once = |i: usize, sink: &mut TraceSink| -> TransientReport {
+        let session = if configs[i].1 {
+            &mut refactor_session
         } else {
-            assert_eq!(
-                allocs, 0,
-                "{backend:?}: warm transient step loop must not allocate"
-            );
-            assert_eq!(
-                report.refactors, 0,
-                "{backend:?}: warm step loop must reuse the prefactored companion system"
-            );
-        }
-        (ms, allocs, report)
+            &mut session
+        };
+        let mut wave = FnWaveform::new(steps, |s, _t, loads: &mut [f64]| {
+            loads.copy_from_slice(&frames[s * nn..(s + 1) * nn]);
+        });
+        sink.clear();
+        session
+            .transient_dynamic(&mut wave, sink, &requests[i])
+            .expect("transient run")
     };
-
-    let (vp_ms, vp_allocs, vp_report) = measure(&mut session, Backend::VoltProp, false);
-    let (rb_ms, rb_allocs, _) = measure(&mut session, Backend::Rb3d, false);
-    let (pcg_ms, pcg_allocs, _) = measure(&mut session, Backend::Pcg, false);
-    let (refactor_ms, _, _) = measure(&mut session, Backend::VoltProp, true);
+    // Cold runs build and factor each backend's companion system.
+    for i in 0..configs.len() {
+        run_once(i, &mut sink);
+    }
+    let mut best_ms = [f64::INFINITY; 4];
+    let mut warm_allocs = 0usize;
+    let mut vp_iterations = 0usize;
+    for pass in 0..passes {
+        for idx in 0..configs.len() {
+            let i = (idx + pass) % configs.len();
+            let (backend, refactor_each_step) = configs[i];
+            let calls_before = alloc::alloc_calls();
+            let start = Instant::now();
+            let report = run_once(i, &mut sink);
+            best_ms[i] = best_ms[i].min(start.elapsed().as_secs_f64() * 1e3);
+            let run_allocs = alloc::alloc_calls() - calls_before;
+            assert_eq!(report.steps, steps);
+            if refactor_each_step {
+                assert_eq!(
+                    report.refactors, steps,
+                    "{backend:?}: refactor_each_step must rebuild the factor every step"
+                );
+            } else {
+                assert_eq!(
+                    run_allocs, 0,
+                    "{backend:?}: warm transient step loop must not allocate"
+                );
+                assert_eq!(
+                    report.refactors, 0,
+                    "{backend:?}: warm step loop must reuse the prefactored companion system"
+                );
+                warm_allocs += run_allocs;
+                if i == 0 {
+                    vp_iterations = report.solver_iterations;
+                }
+            }
+        }
+    }
+    let [vp_ms, rb_ms, pcg_ms, refactor_ms] = best_ms;
     let speedup = refactor_ms / vp_ms;
     assert!(
         speedup > 1.0,
@@ -742,8 +759,8 @@ fn transient_block(w: usize, h: usize, tiers: usize, steps: usize) -> String {
         json_f64(steps_per_s(rb_ms)),
         json_f64(pcg_ms),
         json_f64(steps_per_s(pcg_ms)),
-        vp_report.solver_iterations,
-        vp_allocs + rb_allocs + pcg_allocs,
+        vp_iterations,
+        warm_allocs,
         json_f64(refactor_ms),
         json_f64(speedup),
     )
@@ -1593,9 +1610,9 @@ fn main() {
     // allocations, zero re-prefactors) and the committed factor-reuse
     // speedup over re-prefactoring every step.
     let transient_blocks = if quick {
-        vec![transient_block(48, 48, 2, 120)]
+        vec![transient_block(48, 48, 2, 120, 5)]
     } else {
-        vec![transient_block(64, 64, 3, 1000)]
+        vec![transient_block(64, 64, 3, 1000, 3)]
     };
 
     // The PCG reference backend: warm single + batch-8 on the session's

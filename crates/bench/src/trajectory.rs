@@ -30,9 +30,10 @@
 //! * `vp_batch` (PR 2) — warm per-RHS batched-solve time per batch size
 //!   (`hardware_threads`/`parallelism` context embedded);
 //! * `pool_latency` (PR 3) — small-grid per-solve latency of the
-//!   persistent worker pool vs the legacy scoped-spawn dispatch at each
-//!   thread count, with `pool_warm_alloc_calls` (asserted 0: warm pool
-//!   solves never touch the allocator);
+//!   persistent worker pool at each thread count, with
+//!   `pool_warm_alloc_calls` (asserted 0: warm pool solves never touch
+//!   the allocator); older entries also carry the latency of the
+//!   since-removed per-solve scoped-spawn dispatch;
 //! * `batch_compaction` (PR 3) — fixed-budget masked batch sweeps at
 //!   several active-lane counts, compacted vs uncompacted, against a
 //!   scalar single-RHS reference (`compacted` entries carry

@@ -29,17 +29,20 @@
 //! overrides it for isolation); per-worker substitution scratch is pinned
 //! inside the pool and grows to the largest tier a worker has served, so
 //! cycling engines of different sizes does not leak or thrash scratch.
-//! The legacy per-solve scoped-spawn dispatch is kept behind
-//! [`ParDispatch::ScopedSpawn`] purely as a benchmark baseline.
+//! Every multi-threaded f64 solve — scalar, sweep-once, and batched —
+//! runs one pool job, the banded sweep of the row-band sharding section
+//! below; its per-lane-count instances are built on first use and reused
+//! by every later solve.
 //!
 //! # Determinism contract
 //!
 //! The red-black result is **deterministic in the thread count**: each
 //! phase reads only other-color (frozen) and pinned values, so the update
 //! of a row is independent of the order rows of its own color are
-//! processed. `RedBlack { threads: 1 }` and `RedBlack { threads: 8 }`
-//! produce bitwise-identical iterates — on the pool and the scoped
-//! dispatch alike — and both converge to the same fixed point as
+//! processed. `RedBlack { threads: 1 }` (which sweeps the caller's
+//! slice in place) and `RedBlack { threads: 8 }` (which sweeps banded
+//! images on the pool) produce bitwise-identical iterates, and both
+//! converge to the same fixed point as
 //! [`SweepSchedule::Sequential`] (the classic alternating row-order
 //! sweep), which remains the default and the `parallelism = 1` special
 //! case throughout the workspace. Batched solves extend the contract per
@@ -120,6 +123,13 @@
 //! invariant too. Scalar solves run through the same job as one-lane
 //! batches (the batch-of-1 ≡ solo contract above), so single, batched,
 //! and sweep-once paths share one sharded code path.
+//!
+//! The same banded job is the only multi-threaded path: an unsharded
+//! engine with `threads > 1` runs it with **one band per thread**
+//! (clamped to the tier height), while [`TierEngine::new_sharded`] with
+//! `shards >= 2` keeps its `shards` bands and spreads them over the
+//! threads. Because the band count is arithmetic-neutral, both are
+//! bitwise identical to the single-threaded red-black sweep.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -168,22 +178,6 @@ impl SweepSchedule {
             SweepSchedule::RedBlack { threads } => (*threads).max(1),
         }
     }
-}
-
-/// How a [`TierEngine`] hands a parallel solve to its worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParDispatch {
-    /// The persistent [`WorkerPool`]: parked
-    /// threads, pinned scratch, allocation-free warm dispatch. The
-    /// default.
-    #[default]
-    Pool,
-    /// One `std::thread::scope` spawn per solve (the pre-pool behaviour,
-    /// with engine-owned reusable scratch like the old per-engine
-    /// scratch vectors). Kept as a benchmark baseline — results are
-    /// bitwise identical to [`ParDispatch::Pool`], only dispatch cost
-    /// differs.
-    ScopedSpawn,
 }
 
 /// One tridiagonal row segment between pinned nodes.
@@ -262,7 +256,7 @@ fn choose_batch_kernel(active: usize, lanes: usize, compaction: bool) -> BatchKe
 }
 
 /// The immutable per-tier structure shared between the engine and its
-/// pool jobs: geometry, factors, and the per-thread work partition.
+/// pool jobs: geometry, factors, and the red/black segment lists.
 #[derive(Debug)]
 struct Topo {
     width: usize,
@@ -276,10 +270,6 @@ struct Topo {
     /// Indices into `segments` for even (red) and odd (black) rows.
     red_idx: Vec<u32>,
     black_idx: Vec<u32>,
-    /// Per-thread index ranges into `red_idx` / `black_idx`, balanced by
-    /// node count.
-    red_chunks: Vec<Range<usize>>,
-    black_chunks: Vec<Range<usize>>,
     factors: FactoredSegments,
     /// `f32` mirror of `factors`, built once at construction for the
     /// mixed-precision sweep path.
@@ -300,7 +290,6 @@ impl Topo {
         use std::mem::size_of;
         self.segments.len() * size_of::<Segment>()
             + (self.red_idx.len() + self.black_idx.len()) * size_of::<u32>()
-            + (self.red_chunks.len() + self.black_chunks.len()) * size_of::<Range<usize>>()
             + self.factors.memory_bytes()
             + self.factors32.memory_bytes()
             + self.diag.capacity() * size_of::<f64>()
@@ -308,305 +297,15 @@ impl Topo {
     }
 }
 
-/// Per-solve inputs of a parallel scalar solve, written by the
-/// dispatching engine before the job starts and read once per worker.
+/// Per-solve inputs of a [`SweepJob`], written by the dispatching
+/// engine before the job starts and read once per worker.
 #[derive(Debug)]
-struct ParInput {
-    injection: Vec<f64>,
-    omega: f64,
-    tolerance: f64,
-    max_sweeps: usize,
-}
-
-/// The pool job of a scalar (single right-hand-side) parallel solve.
-/// Built once per engine and reused by every solve, so dispatching is
-/// allocation-free.
-#[derive(Debug)]
-struct ParShared {
-    topo: Arc<Topo>,
-    input: RwLock<ParInput>,
-    /// Atomic voltage image (`n` slots).
-    atomic_v: Vec<AtomicU64>,
-    /// Per-thread max-|update| slots for the reduction.
-    deltas: Vec<AtomicU64>,
-    status: AtomicUsize,
-    sweeps_done: AtomicUsize,
-    final_delta: AtomicU64,
-    barrier: Barrier,
-}
-
-impl ParShared {
-    fn new(topo: Arc<Topo>) -> Self {
-        let n = topo.n();
-        let threads = topo.threads;
-        ParShared {
-            topo,
-            input: RwLock::new(ParInput {
-                injection: vec![0.0; n],
-                omega: 1.0,
-                tolerance: 0.0,
-                max_sweeps: 0,
-            }),
-            atomic_v: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            deltas: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            status: AtomicUsize::new(RUN),
-            sweeps_done: AtomicUsize::new(0),
-            final_delta: AtomicU64::new(0),
-            barrier: Barrier::new(threads),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let input = self.input.read().expect("par input lock");
-        (self.atomic_v.len() + self.deltas.len()) * size_of::<AtomicU64>()
-            + input.injection.capacity() * size_of::<f64>()
-    }
-}
-
-/// The per-thread loop of a scalar parallel solve. Thread 0 doubles as
-/// the reducer that decides convergence between sweeps. Every sweep
-/// costs four barrier waits: red→black, black→delta-publish,
-/// publish→reduce, reduce→next sweep.
-impl PoolJob for ParShared {
-    fn run(&self, tid: usize, ws: &mut WorkerScratch) {
-        let topo = &*self.topo;
-        let input = self.input.read().expect("par input lock");
-        let injection: &[f64] = &input.injection;
-        ws.ensure(topo.factors.max_segment_len(), 0);
-        let scratch = &mut ws.f[..];
-        loop {
-            let mut local = 0.0f64;
-            for phase in 0..2 {
-                let (idx, chunk) = if phase == 0 {
-                    (&topo.red_idx, &topo.red_chunks[tid])
-                } else {
-                    (&topo.black_idx, &topo.black_chunks[tid])
-                };
-                let mut view = AtomicView(&self.atomic_v);
-                for &si in &idx[chunk.clone()] {
-                    local = local.max(solve_segment(
-                        topo,
-                        topo.segments[si as usize],
-                        injection,
-                        input.omega,
-                        scratch,
-                        &mut view,
-                    ));
-                }
-                // All writes of this color must land before any thread
-                // reads them in the next phase.
-                self.barrier.wait();
-            }
-            self.deltas[tid].store(local.to_bits(), Ordering::Relaxed);
-            self.barrier.wait();
-            if tid == 0 {
-                let delta = self
-                    .deltas
-                    .iter()
-                    .take(topo.threads)
-                    .map(|d| f64::from_bits(d.load(Ordering::Relaxed)))
-                    .fold(0.0f64, f64::max);
-                self.final_delta.store(delta.to_bits(), Ordering::Relaxed);
-                let done = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
-                if delta < input.tolerance {
-                    self.status.store(DONE, Ordering::Relaxed);
-                } else if done >= input.max_sweeps {
-                    self.status.store(BUDGET, Ordering::Relaxed);
-                }
-            }
-            self.barrier.wait();
-            if self.status.load(Ordering::Relaxed) != RUN {
-                return;
-            }
-        }
-    }
-}
-
-/// Per-solve inputs of a parallel batched solve.
-#[derive(Debug)]
-struct BatchInput {
+struct JobInput {
     /// Node-major/lane-minor right-hand sides, `n * k`.
     injection: Vec<f64>,
     omega: f64,
     tolerance: f64,
     max_sweeps: usize,
-}
-
-/// The pool job of a parallel batched solve, sized for a fixed lane
-/// count `k`; rebuilt only when `k` changes.
-#[derive(Debug)]
-struct BatchShared {
-    topo: Arc<Topo>,
-    k: usize,
-    input: RwLock<BatchInput>,
-    /// Atomic voltage image (`n * k` slots, node-major/lane-minor).
-    atomic_v: Vec<AtomicU64>,
-    /// `threads × k` per-sweep delta slots for the reduction.
-    deltas: Vec<AtomicU64>,
-    /// Per-lane active flags (thread 0 is the only writer).
-    active: Vec<AtomicBool>,
-    /// Compact list of active lane indices (first `n_active` valid).
-    active_ids: Vec<AtomicU32>,
-    n_active: AtomicUsize,
-    /// Per-lane outcome slots, copied into the caller's [`LaneReport`]s
-    /// after the job drains.
-    lane_iters: Vec<AtomicUsize>,
-    lane_residual: Vec<AtomicU64>,
-    lane_converged: Vec<AtomicBool>,
-    sweeps_done: AtomicUsize,
-    status: AtomicUsize,
-    compaction: AtomicBool,
-    barrier: Barrier,
-}
-
-impl BatchShared {
-    fn new(topo: Arc<Topo>, k: usize) -> Self {
-        let n = topo.n();
-        let threads = topo.threads;
-        BatchShared {
-            topo,
-            k,
-            input: RwLock::new(BatchInput {
-                injection: vec![0.0; n * k],
-                omega: 1.0,
-                tolerance: 0.0,
-                max_sweeps: 0,
-            }),
-            atomic_v: (0..n * k).map(|_| AtomicU64::new(0)).collect(),
-            deltas: (0..threads * k).map(|_| AtomicU64::new(0)).collect(),
-            active: (0..k).map(|_| AtomicBool::new(true)).collect(),
-            active_ids: (0..k).map(|_| AtomicU32::new(0)).collect(),
-            n_active: AtomicUsize::new(0),
-            lane_iters: (0..k).map(|_| AtomicUsize::new(0)).collect(),
-            lane_residual: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            lane_converged: (0..k).map(|_| AtomicBool::new(false)).collect(),
-            sweeps_done: AtomicUsize::new(0),
-            status: AtomicUsize::new(RUN),
-            compaction: AtomicBool::new(true),
-            barrier: Barrier::new(threads),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let input = self.input.read().expect("batch input lock");
-        (self.atomic_v.len() + self.deltas.len() + self.lane_residual.len())
-            * size_of::<AtomicU64>()
-            + input.injection.capacity() * size_of::<f64>()
-            + self.active_ids.len() * size_of::<AtomicU32>()
-            + self.lane_iters.len() * size_of::<AtomicUsize>()
-            + self.active.len()
-            + self.lane_converged.len()
-    }
-}
-
-/// The per-thread loop of a parallel batched solve. Mirrors the scalar
-/// job's barrier structure; thread 0 reduces the per-lane deltas between
-/// sweeps, decides which lanes freeze, and republishes the compact
-/// active-lane list, so freezing — and therefore every lane's iterate —
-/// is deterministic in the thread count.
-impl PoolJob for BatchShared {
-    fn run(&self, tid: usize, ws: &mut WorkerScratch) {
-        let topo = &*self.topo;
-        let k = self.k;
-        let input = self.input.read().expect("batch input lock");
-        let injection: &[f64] = &input.injection;
-        ws.ensure(topo.factors.max_segment_len() * k, k);
-        let WorkerScratch {
-            f,
-            active,
-            delta,
-            ids,
-            ..
-        } = ws;
-        let scratch = &mut f[..];
-        let active = &mut active[..k];
-        let delta = &mut delta[..k];
-        let ids = &mut ids[..k];
-        let compaction = self.compaction.load(Ordering::Relaxed);
-        loop {
-            // The lane-active state only changes while every worker is
-            // parked at the post-reduce barrier, so relaxed refreshes
-            // here are safe — and every thread sees the same snapshot.
-            let m = self.n_active.load(Ordering::Relaxed);
-            for (id, slot) in ids[..m].iter_mut().zip(&self.active_ids) {
-                *id = slot.load(Ordering::Relaxed);
-            }
-            for (a, slot) in active.iter_mut().zip(&self.active) {
-                *a = slot.load(Ordering::Relaxed);
-            }
-            delta.fill(0.0);
-            let kernel = choose_batch_kernel(m, k, compaction);
-            for phase in 0..2 {
-                let (idx, chunk) = if phase == 0 {
-                    (&topo.red_idx, &topo.red_chunks[tid])
-                } else {
-                    (&topo.black_idx, &topo.black_chunks[tid])
-                };
-                let mut view = AtomicView(&self.atomic_v);
-                for &si in &idx[chunk.clone()] {
-                    batch_segment_dispatch(
-                        kernel,
-                        topo,
-                        topo.segments[si as usize],
-                        injection,
-                        input.omega,
-                        k,
-                        active,
-                        &ids[..m],
-                        scratch,
-                        &mut view,
-                        delta,
-                    );
-                }
-                // All writes of this color must land before any thread
-                // reads them in the next phase.
-                self.barrier.wait();
-            }
-            for (j, &d) in delta.iter().enumerate() {
-                self.deltas[tid * k + j].store(d.to_bits(), Ordering::Relaxed);
-            }
-            self.barrier.wait();
-            if tid == 0 {
-                let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
-                let mut live = 0usize;
-                for j in 0..k {
-                    if self.lane_converged[j].load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let d = (0..topo.threads)
-                        .map(|t| f64::from_bits(self.deltas[t * k + j].load(Ordering::Relaxed)))
-                        .fold(0.0f64, f64::max);
-                    self.lane_iters[j].store(sweep, Ordering::Relaxed);
-                    self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
-                    if d < input.tolerance {
-                        self.lane_converged[j].store(true, Ordering::Relaxed);
-                        self.active[j].store(false, Ordering::Relaxed);
-                    } else {
-                        live += 1;
-                    }
-                }
-                let mut next_m = 0usize;
-                for j in 0..k {
-                    if self.active[j].load(Ordering::Relaxed) {
-                        self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
-                        next_m += 1;
-                    }
-                }
-                self.n_active.store(next_m, Ordering::Relaxed);
-                if live == 0 {
-                    self.status.store(DONE, Ordering::Relaxed);
-                } else if sweep >= input.max_sweeps {
-                    self.status.store(BUDGET, Ordering::Relaxed);
-                }
-            }
-            self.barrier.wait();
-            if self.status.load(Ordering::Relaxed) != RUN {
-                return;
-            }
-        }
-    }
 }
 
 /// One row band of a sharded tier, resolved from the [`ShardPlan`]
@@ -628,10 +327,12 @@ struct ShardBandExec {
     black: Vec<u32>,
 }
 
-/// The frozen execution layout of a sharded tier: the per-band segment
-/// lists and a contiguous shard→thread assignment balanced by owned
-/// node count. Shared (via `Arc`) between the scalar and batched shard
-/// jobs and across [`TierEngine::fork`]s.
+/// The frozen execution layout of a banded tier: the per-band segment
+/// lists and a contiguous band→thread assignment balanced by owned node
+/// count. The bands are the caller's shards, or one band per worker
+/// thread on an unsharded multi-threaded engine. Shared (via `Arc`)
+/// between the scalar and batched [`SweepJob`]s and across
+/// [`TierEngine::fork`]s.
 #[derive(Debug)]
 struct ShardLayout {
     bands: Vec<ShardBandExec>,
@@ -640,8 +341,8 @@ struct ShardLayout {
 }
 
 impl ShardLayout {
-    fn build(topo: &Topo, shards: usize) -> ShardLayout {
-        let plan = ShardPlan::new(topo.height, shards);
+    fn build(topo: &Topo, bands: usize) -> ShardLayout {
+        let plan = ShardPlan::new(topo.height, bands);
         let bands: Vec<ShardBandExec> = plan
             .bands()
             .iter()
@@ -668,8 +369,10 @@ impl ShardLayout {
                 }
             })
             .collect();
-        // Contiguous shard→thread split balanced by owned node count,
-        // same greedy rule as `balance_chunks` over segments.
+        // Contiguous band→thread split balanced by owned node count.
+        // Each thread takes at least one band and leaves one for every
+        // later thread while bands last, so with one band per thread
+        // no worker idles.
         let weights: Vec<usize> = bands
             .iter()
             .map(|b| {
@@ -691,7 +394,8 @@ impl ShardLayout {
                 pos = bands.len();
             } else {
                 let target = total * (t + 1) / threads;
-                while pos < bands.len() && acc < target {
+                let cap = bands.len().saturating_sub(threads - t - 1).max(pos);
+                while pos < cap && (pos == begin || acc < target) {
                     acc += weights[pos];
                     pos += 1;
                 }
@@ -716,22 +420,23 @@ impl ShardLayout {
     }
 }
 
-/// The pool job of a sharded solve, sized for a fixed lane count `k`
-/// (scalar solves run as `k = 1` — the batch-of-1 ≡ solo contract makes
-/// that bitwise-free). Each shard owns a private halo-extended voltage
-/// image; the job interleaves color half-sweeps with halo exchanges and
-/// reduces convergence deltas **across shards in shard order**, so the
-/// outcome is invariant in both the thread and the shard count.
+/// The pool job behind every multi-threaded or sharded f64 solve, sized
+/// for a fixed lane count `k` (scalar solves run as `k = 1` — the
+/// batch-of-1 ≡ solo contract makes that bitwise-free). Each band owns a
+/// private halo-extended voltage image; the job interleaves color
+/// half-sweeps with halo exchanges and reduces convergence deltas
+/// **across bands in band order**, so the outcome is invariant in both
+/// the thread and the band count.
 #[derive(Debug)]
-struct ShardShared {
+struct SweepJob {
     topo: Arc<Topo>,
     layout: Arc<ShardLayout>,
     k: usize,
-    input: RwLock<BatchInput>,
-    /// Per-shard halo-extended voltage images, `(hi - lo) * width * k`
+    input: RwLock<JobInput>,
+    /// Per-band halo-extended voltage images, `(hi - lo) * width * k`
     /// slots each, node-major/lane-minor in halo-local coordinates.
     bufs: Vec<Vec<AtomicU64>>,
-    /// `shards × k` per-sweep delta slots; reduced in shard order.
+    /// `bands × k` per-sweep delta slots; reduced in band order.
     deltas: Vec<AtomicU64>,
     active: Vec<AtomicBool>,
     active_ids: Vec<AtomicU32>,
@@ -745,7 +450,7 @@ struct ShardShared {
     barrier: Barrier,
 }
 
-impl ShardShared {
+impl SweepJob {
     fn new(topo: Arc<Topo>, layout: Arc<ShardLayout>, k: usize) -> Self {
         let n = topo.n();
         let wk = topo.width * k;
@@ -755,8 +460,8 @@ impl ShardShared {
             .iter()
             .map(|b| (0..(b.hi - b.lo) * wk).map(|_| AtomicU64::new(0)).collect())
             .collect();
-        ShardShared {
-            input: RwLock::new(BatchInput {
+        SweepJob {
+            input: RwLock::new(JobInput {
                 injection: vec![0.0; n * k],
                 omega: 1.0,
                 tolerance: 0.0,
@@ -780,9 +485,9 @@ impl ShardShared {
         }
     }
 
-    /// Refreshes shard `s`'s halo rows whose color matches `phase`
+    /// Refreshes band `s`'s halo rows whose color matches `phase`
     /// (0 = even/red, 1 = odd/black) from the owning neighbours'
-    /// buffers. Pull model: during an exchange, shard `s`'s buffer is
+    /// buffers. Pull model: during an exchange, band `s`'s buffer is
     /// written only at `s`'s halo rows and read only at `s`'s owned
     /// rows, so concurrent exchanges on different threads touch
     /// disjoint slots (the surrounding barriers order them against the
@@ -797,7 +502,7 @@ impl ShardShared {
         }
     }
 
-    /// Copies global row `y` (owned by shard `src`) into shard `dst`'s
+    /// Copies global row `y` (owned by band `src`) into band `dst`'s
     /// halo image.
     fn copy_halo_row(&self, dst: usize, src: usize, y: usize) {
         let wk = self.topo.width * self.k;
@@ -812,9 +517,49 @@ impl ShardShared {
         }
     }
 
+    /// Thread 0's between-sweep step: folds the per-band deltas of each
+    /// live lane in band order, freezes the lanes that converged,
+    /// republishes the compact active-lane list, and decides whether the
+    /// job stops.
+    fn reduce(&self, tolerance: f64, max_sweeps: usize) {
+        let k = self.k;
+        let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
+        let shards = self.layout.num_shards();
+        let mut live = 0usize;
+        for j in 0..k {
+            if self.lane_converged[j].load(Ordering::Relaxed) {
+                continue;
+            }
+            let d = (0..shards)
+                .map(|s| f64::from_bits(self.deltas[s * k + j].load(Ordering::Relaxed)))
+                .fold(0.0f64, f64::max);
+            self.lane_iters[j].store(sweep, Ordering::Relaxed);
+            self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
+            if d < tolerance {
+                self.lane_converged[j].store(true, Ordering::Relaxed);
+                self.active[j].store(false, Ordering::Relaxed);
+            } else {
+                live += 1;
+            }
+        }
+        let mut next_m = 0usize;
+        for j in 0..k {
+            if self.active[j].load(Ordering::Relaxed) {
+                self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
+                next_m += 1;
+            }
+        }
+        self.n_active.store(next_m, Ordering::Relaxed);
+        if live == 0 {
+            self.status.store(DONE, Ordering::Relaxed);
+        } else if sweep >= max_sweeps {
+            self.status.store(BUDGET, Ordering::Relaxed);
+        }
+    }
+
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let input = self.input.read().expect("shard input lock");
+        let input = self.input.read().expect("sweep job input lock");
         let buf_slots: usize = self.bufs.iter().map(Vec::capacity).sum();
         (buf_slots + self.deltas.len() + self.lane_residual.len()) * size_of::<AtomicU64>()
             + input.injection.capacity() * size_of::<f64>()
@@ -825,19 +570,22 @@ impl ShardShared {
     }
 }
 
-/// The per-thread loop of a sharded solve. Five barriers per sweep:
-/// red half-sweep → barrier → even-halo exchange → barrier → black
-/// half-sweep → barrier → odd-halo exchange → barrier → reduce/freeze →
-/// barrier. A color's halo rows are exchanged immediately after that
-/// color updates, so the next half-sweep reads exactly the values the
-/// unsharded red-black sweep would.
-impl PoolJob for ShardShared {
+/// The per-thread loop of a banded solve. Four barriers per sweep: red
+/// half-sweep → barrier → even-halo exchange → barrier → black
+/// half-sweep → barrier → odd-halo exchange, with thread 0 reducing and
+/// freezing lanes alongside it → barrier. A color's halo rows are
+/// exchanged immediately after that color updates, so the next
+/// half-sweep reads exactly the values the single-image red-black sweep
+/// would. The lane-active state only changes while the other threads
+/// are between the last two barriers, so every thread reads the same
+/// snapshot at the top of the next sweep.
+impl PoolJob for SweepJob {
     fn run(&self, tid: usize, ws: &mut WorkerScratch) {
         let topo = &*self.topo;
         let lay = &*self.layout;
         let k = self.k;
         let wk = topo.width * k;
-        let input = self.input.read().expect("shard input lock");
+        let input = self.input.read().expect("sweep job input lock");
         let injection: &[f64] = &input.injection;
         ws.ensure(topo.factors.max_segment_len() * k, k);
         let WorkerScratch {
@@ -867,16 +615,15 @@ impl PoolJob for ShardShared {
                     let band = &lay.bands[s];
                     let segs = if phase == 0 { &band.red } else { &band.black };
                     delta.fill(0.0);
-                    let mut view = ShardAtomicView {
+                    let mut view = BandView {
                         buf: &self.bufs[s],
                         off: band.lo * wk,
                     };
                     for &si in segs {
-                        // Scalar solves take the same `solve_segment`
-                        // kernel as the unsharded parallel path (the
-                        // batch-of-1 dispatch is bitwise identical but
-                        // pays lane-indirection the scalar kernel
-                        // doesn't).
+                        // Scalar solves take the plain `solve_segment`
+                        // kernel (the batch-of-1 dispatch is bitwise
+                        // identical but pays lane indirection the scalar
+                        // kernel doesn't).
                         if k == 1 {
                             delta[0] = delta[0].max(solve_segment(
                                 topo,
@@ -902,7 +649,7 @@ impl PoolJob for ShardShared {
                             );
                         }
                     }
-                    // Red overwrites the shard's slots (self-resetting
+                    // Red overwrites the band's slots (self-resetting
                     // between sweeps), black folds its maxima in.
                     for (j, &d) in delta.iter().enumerate() {
                         let slot = &self.deltas[s * k + j];
@@ -917,46 +664,14 @@ impl PoolJob for ShardShared {
                     }
                 }
                 self.barrier.wait();
+                if phase == 1 && tid == 0 {
+                    self.reduce(input.tolerance, input.max_sweeps);
+                }
                 for s in mine.clone() {
                     self.exchange_halos(s, phase);
                 }
                 self.barrier.wait();
             }
-            if tid == 0 {
-                let sweep = self.sweeps_done.fetch_add(1, Ordering::Relaxed) + 1;
-                let shards = lay.num_shards();
-                let mut live = 0usize;
-                for j in 0..k {
-                    if self.lane_converged[j].load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let d = (0..shards)
-                        .map(|s| f64::from_bits(self.deltas[s * k + j].load(Ordering::Relaxed)))
-                        .fold(0.0f64, f64::max);
-                    self.lane_iters[j].store(sweep, Ordering::Relaxed);
-                    self.lane_residual[j].store(d.to_bits(), Ordering::Relaxed);
-                    if d < input.tolerance {
-                        self.lane_converged[j].store(true, Ordering::Relaxed);
-                        self.active[j].store(false, Ordering::Relaxed);
-                    } else {
-                        live += 1;
-                    }
-                }
-                let mut next_m = 0usize;
-                for j in 0..k {
-                    if self.active[j].load(Ordering::Relaxed) {
-                        self.active_ids[next_m].store(j as u32, Ordering::Relaxed);
-                        next_m += 1;
-                    }
-                }
-                self.n_active.store(next_m, Ordering::Relaxed);
-                if live == 0 {
-                    self.status.store(DONE, Ordering::Relaxed);
-                } else if sweep >= input.max_sweeps {
-                    self.status.store(BUDGET, Ordering::Relaxed);
-                }
-            }
-            self.barrier.wait();
             if self.status.load(Ordering::Relaxed) != RUN {
                 return;
             }
@@ -964,18 +679,57 @@ impl PoolJob for ShardShared {
     }
 }
 
-/// Sharded-dispatch state of a [`TierEngine`]: the frozen layout plus
-/// the prebuilt scalar (`k = 1`) job and the lazily (re)built batched
-/// job, mirroring `par` / `batch_par` on the unsharded side.
+/// Banded-dispatch state of a multi-threaded or sharded [`TierEngine`]:
+/// the frozen layout plus its pool jobs, each built on first use for
+/// its lane count and reused by every later solve.
 #[derive(Debug)]
 struct ShardState {
     layout: Arc<ShardLayout>,
-    /// `k = 1` job serving `solve` / `sweep_once`, built eagerly so warm
-    /// scalar solves never allocate.
-    scalar: Arc<ShardShared>,
-    /// Batched job, rebuilt when the lane count changes (like
-    /// `batch_par`).
-    batch: Option<Arc<ShardShared>>,
+    /// Whether the bands are the caller's shards ([`TierEngine::new_sharded`]
+    /// with `shards >= 2`) rather than one band per worker thread.
+    sharded: bool,
+    /// `k = 1` job serving `solve`, `sweep_once`, and one-lane batches.
+    scalar: Option<Arc<SweepJob>>,
+    /// Batched job, rebuilt when the lane count changes.
+    batch: Option<Arc<SweepJob>>,
+}
+
+impl ShardState {
+    fn new(layout: Arc<ShardLayout>, sharded: bool) -> Self {
+        ShardState {
+            layout,
+            sharded,
+            scalar: None,
+            batch: None,
+        }
+    }
+
+    /// The job for `k` lanes, built on the first call for that lane
+    /// count (warm calls only bump a refcount).
+    fn job(&mut self, topo: &Arc<Topo>, k: usize) -> Arc<SweepJob> {
+        let slot = if k == 1 {
+            &mut self.scalar
+        } else {
+            &mut self.batch
+        };
+        if slot.as_ref().is_none_or(|job| job.k != k) {
+            *slot = Some(Arc::new(SweepJob::new(
+                Arc::clone(topo),
+                Arc::clone(&self.layout),
+                k,
+            )));
+        }
+        Arc::clone(slot.as_ref().expect("job built above"))
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.layout.memory_bytes()
+            + [&self.scalar, &self.batch]
+                .iter()
+                .filter_map(|job| job.as_ref())
+                .map(|job| job.memory_bytes())
+                .sum::<usize>()
+    }
 }
 
 /// Single-threaded state for batched (multi right-hand-side) solves.
@@ -1080,12 +834,11 @@ impl MixedState {
 /// Built once per tier, reused across every sweep and outer iteration:
 /// after construction the single-threaded schedules perform **no heap
 /// allocation** on any solve or sweep path. The multi-threaded red-black
-/// path runs on the persistent [`WorkerPool`],
-/// so after the pool's one-time warm-up a parallel
+/// path runs on the persistent [`WorkerPool`], so once the pool and the
+/// engine's job for a lane count are warm, a parallel
 /// [`TierEngine::solve`] (or [`TierEngine::solve_batch`]) is
 /// allocation-free too — dispatching a solve to the parked workers costs
-/// two mutex hand-offs instead of the former per-solve scoped thread
-/// spawn.
+/// two mutex hand-offs.
 ///
 /// # Example
 ///
@@ -1114,31 +867,21 @@ impl MixedState {
 pub struct TierEngine {
     topo: Arc<Topo>,
     schedule: SweepSchedule,
-    dispatch: ParDispatch,
     /// Active-lane compaction for batched sweeps (default on; see the
     /// module docs for the crossover).
     compaction: bool,
     /// Optional pool override (`None` = the process-global pool).
     pool: Option<Arc<WorkerPool>>,
-    /// Per-thread scratch for the [`ParDispatch::ScopedSpawn`] baseline,
-    /// kept per engine so the baseline reproduces the pre-pool cost
-    /// model exactly (per-solve thread spawns, but engine-owned reusable
-    /// scratch) and the measured pool-vs-scoped delta is pure dispatch.
-    scoped_scratch: Vec<WorkerScratch>,
     /// Single-threaded forward-substitution scratch.
     scratch: Vec<f64>,
-    /// Scalar parallel job (present when the schedule is multi-threaded).
-    par: Option<Arc<ParShared>>,
     /// Lazily sized single-threaded batch state.
     batch: BatchState,
-    /// Lazily sized parallel batch job (rebuilt when the lane count
-    /// changes).
-    batch_par: Option<Arc<BatchShared>>,
     /// Lazily sized (grow-only) mixed-precision lane buffers.
     mixed: MixedState,
-    /// Row-band sharded dispatch (present when built with
-    /// [`TierEngine::new_sharded`] and `shards >= 2`); replaces `par` /
-    /// `batch_par` on the f64 solve paths.
+    /// Banded pool dispatch, present when the schedule is multi-threaded
+    /// or the engine was built with [`TierEngine::new_sharded`] and
+    /// `shards >= 2`; it serves every f64 solve path, while the
+    /// single-threaded unsharded schedules sweep the caller's slice.
     shard: Option<ShardState>,
 }
 
@@ -1305,8 +1048,6 @@ impl TierEngine {
         let black_idx: Vec<u32> = (0..segments.len() as u32)
             .filter(|&i| segments[i as usize].row % 2 == 1)
             .collect();
-        let red_chunks = balance_chunks(&segments, &red_idx, threads);
-        let black_chunks = balance_chunks(&segments, &black_idx, threads);
 
         let scratch = vec![0.0; factors.max_segment_len()];
         let factors32 = FactoredSegmentsF32::mirror(&factors);
@@ -1320,34 +1061,26 @@ impl TierEngine {
             segments,
             red_idx,
             black_idx,
-            red_chunks,
-            black_chunks,
             factors,
             factors32,
             diag: node_diag,
         });
-        let shard = (shards > 1 && height > 1).then(|| {
-            let layout = Arc::new(ShardLayout::build(&topo, shards));
-            ShardState {
-                scalar: Arc::new(ShardShared::new(Arc::clone(&topo), Arc::clone(&layout), 1)),
-                batch: None,
-                layout,
-            }
+        // Sharded engines keep their `shards` bands; an unsharded
+        // multi-threaded engine gets one band per thread, so no worker
+        // idles.
+        let sharded = shards > 1;
+        let shard = (sharded || threads > 1).then(|| {
+            let bands = if sharded { shards } else { threads };
+            ShardState::new(Arc::new(ShardLayout::build(&topo, bands)), sharded)
         });
-        let par =
-            (shard.is_none() && threads > 1).then(|| Arc::new(ParShared::new(Arc::clone(&topo))));
 
         Ok(TierEngine {
             topo,
             schedule,
-            dispatch: ParDispatch::Pool,
             compaction: true,
             pool: None,
-            scoped_scratch: Vec::new(),
             scratch,
-            par,
             batch: BatchState::default(),
-            batch_par: None,
             mixed: MixedState::default(),
             shard,
         })
@@ -1379,22 +1112,16 @@ impl TierEngine {
         self.schedule
     }
 
-    /// Number of row-band shards the f64 solve paths sweep over (1 for
-    /// an unsharded engine).
+    /// Number of row-band shards requested through
+    /// [`TierEngine::new_sharded`], clamped to the tier height; 1 for an
+    /// unsharded engine. The one band per worker thread that an
+    /// unsharded multi-threaded engine sweeps is a dispatch detail and
+    /// is not counted here.
     pub fn shards(&self) -> usize {
-        self.shard.as_ref().map_or(1, |s| s.layout.num_shards())
-    }
-
-    /// How parallel solves are handed to worker threads (default:
-    /// [`ParDispatch::Pool`]).
-    pub fn dispatch(&self) -> ParDispatch {
-        self.dispatch
-    }
-
-    /// Selects the parallel dispatch backend. Results are bitwise
-    /// identical on both; only latency and allocation behaviour differ.
-    pub fn set_dispatch(&mut self, dispatch: ParDispatch) {
-        self.dispatch = dispatch;
+        match &self.shard {
+            Some(s) if s.sharded => s.layout.num_shards(),
+            _ => 1,
+        }
     }
 
     /// Whether batched sweeps compact to the active lanes (default
@@ -1421,10 +1148,10 @@ impl TierEngine {
     }
 
     /// A new engine sharing this engine's frozen half — the factored
-    /// segments, their f32 mirror, the pin mask, and the balanced sweep
-    /// chunks (one `Arc` bump, no refactorization) — with **fresh**
-    /// per-solve mutable state (substitution scratch, parallel job
-    /// images, batch arenas, mixed-precision buffers).
+    /// segments, their f32 mirror, the pin mask, and the band layout
+    /// (one `Arc` bump, no refactorization) — with **fresh** per-solve
+    /// mutable state (substitution scratch, parallel job images, batch
+    /// arenas, mixed-precision buffers).
     ///
     /// This is the engine-level shared/scratch split: everything built by
     /// [`TierEngine::new`] that is read-only after construction lives
@@ -1434,35 +1161,23 @@ impl TierEngine {
     /// are bitwise identical to the original engine's (same factors, same
     /// sweep order, freshly re-initialized state every call).
     ///
-    /// Configuration knobs (schedule, dispatch, compaction, pool
-    /// override) are copied at fork time; later `set_*` calls on either
-    /// engine do not affect the other.
+    /// Configuration knobs (schedule, compaction, pool override) are
+    /// copied at fork time; later `set_*` calls on either engine do not
+    /// affect the other.
     #[must_use]
     pub fn fork(&self) -> TierEngine {
-        let topo = Arc::clone(&self.topo);
-        let shard = self.shard.as_ref().map(|s| ShardState {
-            layout: Arc::clone(&s.layout),
-            scalar: Arc::new(ShardShared::new(
-                Arc::clone(&topo),
-                Arc::clone(&s.layout),
-                1,
-            )),
-            batch: None,
-        });
         TierEngine {
+            topo: Arc::clone(&self.topo),
             schedule: self.schedule,
-            dispatch: self.dispatch,
             compaction: self.compaction,
             pool: self.pool.clone(),
-            scoped_scratch: Vec::new(),
             scratch: vec![0.0; self.scratch.len()],
-            par: (shard.is_none() && topo.threads > 1)
-                .then(|| Arc::new(ParShared::new(Arc::clone(&topo)))),
             batch: BatchState::default(),
-            batch_par: None,
             mixed: MixedState::default(),
-            shard,
-            topo,
+            shard: self
+                .shard
+                .as_ref()
+                .map(|s| ShardState::new(Arc::clone(&s.layout), s.sharded)),
         }
     }
 
@@ -1499,10 +1214,7 @@ impl TierEngine {
     ) -> Result<SolveReport, SolverError> {
         self.check_call(injection, v, omega)?;
         if self.shard.is_some() {
-            return self.solve_sharded(injection, v, tolerance, max_sweeps, omega);
-        }
-        if self.topo.threads > 1 {
-            return self.solve_parallel(injection, v, tolerance, max_sweeps, omega);
+            return self.solve_banded(injection, v, tolerance, max_sweeps, omega);
         }
         let mut max_delta = f64::INFINITY;
         let mut sweeps = 0;
@@ -1546,30 +1258,17 @@ impl TierEngine {
         omega: f64,
     ) -> Result<f64, SolverError> {
         self.check_call(injection, v, omega)?;
-        if let Some(shard) = &self.shard {
-            let shared = Arc::clone(&shard.scalar);
+        if self.shard.is_some() {
             let mut lanes = [LaneReport {
                 iterations: 0,
                 residual: f64::INFINITY,
                 converged: false,
             }];
-            self.run_sharded(
-                &shared,
-                injection,
-                v,
-                f64::NEG_INFINITY,
-                1,
-                omega,
-                &mut lanes,
-            );
+            self.run_banded(injection, v, f64::NEG_INFINITY, 1, omega, &mut lanes);
             return Ok(lanes[0].residual);
         }
         Ok(match self.schedule {
             SweepSchedule::Sequential => self.sweep_sequential_slice(injection, v, downward, omega),
-            SweepSchedule::RedBlack { threads } if threads > 1 => {
-                self.parallel_sweeps(injection, v, f64::NEG_INFINITY, 1, omega)
-                    .1
-            }
             SweepSchedule::RedBlack { .. } => self.sweep_redblack_slice(injection, v, omega),
         })
     }
@@ -1666,7 +1365,6 @@ impl TierEngine {
     ) -> Result<SolveReport, SolverError> {
         let k = lanes.len();
         self.check_batch_call(injection, v, omega, mask, k)?;
-        self.ensure_batch(k);
         for (j, lane) in lanes.iter_mut().enumerate() {
             let on = mask.is_none_or(|m| m[j]);
             *lane = LaneReport {
@@ -1676,21 +1374,12 @@ impl TierEngine {
             };
         }
         if self.shard.is_some() {
-            let shared = Arc::clone(
-                self.shard
-                    .as_ref()
-                    .and_then(|s| s.batch.as_ref())
-                    .expect("sharded batch job sized by ensure_batch"),
-            );
-            let sweeps =
-                self.run_sharded(&shared, injection, v, tolerance, max_sweeps, omega, lanes);
+            let sweeps = self.run_banded(injection, v, tolerance, max_sweeps, omega, lanes);
             return Ok(aggregate_report(lanes, sweeps, self.memory_bytes()));
-        }
-        if self.topo.threads > 1 {
-            return Ok(self.solve_batch_parallel(injection, v, tolerance, max_sweeps, omega, lanes));
         }
 
         // Single-threaded schedules: sweep in place on `v`.
+        self.ensure_batch(k);
         let topo = Arc::clone(&self.topo);
         let schedule = self.schedule;
         let compaction = self.compaction;
@@ -2002,95 +1691,26 @@ impl TierEngine {
         sweeps_total
     }
 
-    /// Sizes the batch state for `k` lanes (no-op when already sized):
-    /// the in-place sweep buffers on single-threaded schedules, the
-    /// shared pool job on multi-threaded ones (whose workers bring their
-    /// own pinned scratch).
+    /// Sizes the single-threaded in-place batch buffers for `k` lanes
+    /// (no-op when already sized).
     fn ensure_batch(&mut self, k: usize) {
         if self.batch.lanes == k {
             return;
         }
-        self.batch.lanes = k;
-        if let Some(shard) = &mut self.shard {
-            shard.batch = Some(Arc::new(ShardShared::new(
-                Arc::clone(&self.topo),
-                Arc::clone(&shard.layout),
-                k,
-            )));
-        } else if self.topo.threads > 1 {
-            self.batch_par = Some(Arc::new(BatchShared::new(Arc::clone(&self.topo), k)));
-        } else {
-            let seg_len = self.topo.factors.max_segment_len();
-            let b = &mut self.batch;
-            b.scratch = vec![0.0; seg_len * k];
-            b.active = vec![true; k];
-            b.delta = vec![0.0; k];
-            b.ids = vec![0; k];
-        }
+        let seg_len = self.topo.factors.max_segment_len();
+        self.batch = BatchState {
+            lanes: k,
+            scratch: vec![0.0; seg_len * k],
+            active: vec![true; k],
+            delta: vec![0.0; k],
+            ids: vec![0; k],
+        };
     }
 
-    /// Multi-threaded batched red-black solve on the worker pool: lane
-    /// state is published into the prebuilt [`BatchShared`] job, the pool
-    /// (or the scoped baseline) runs it, and the per-lane outcomes are
-    /// copied back. Thread 0 reduces and freezes lanes centrally, so
-    /// freezing — and therefore every iterate — is deterministic in the
-    /// thread count.
-    fn solve_batch_parallel(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-        lanes: &mut [LaneReport],
-    ) -> SolveReport {
-        let shared = Arc::clone(self.batch_par.as_ref().expect("batch parallel state"));
-        {
-            let mut input = shared.input.write().expect("batch input lock");
-            input.injection.copy_from_slice(injection);
-            input.omega = omega;
-            input.tolerance = tolerance;
-            input.max_sweeps = max_sweeps;
-        }
-        for (slot, &x) in shared.atomic_v.iter().zip(v.iter()) {
-            slot.store(x.to_bits(), Ordering::Relaxed);
-        }
-        let mut m = 0usize;
-        for (j, lane) in lanes.iter().enumerate() {
-            shared.lane_iters[j].store(lane.iterations, Ordering::Relaxed);
-            shared.lane_residual[j].store(lane.residual.to_bits(), Ordering::Relaxed);
-            shared.lane_converged[j].store(lane.converged, Ordering::Relaxed);
-            shared.active[j].store(!lane.converged, Ordering::Relaxed);
-            if !lane.converged {
-                shared.active_ids[m].store(j as u32, Ordering::Relaxed);
-                m += 1;
-            }
-        }
-        shared.n_active.store(m, Ordering::Relaxed);
-        shared.sweeps_done.store(0, Ordering::Relaxed);
-        shared.status.store(RUN, Ordering::Relaxed);
-        shared.compaction.store(self.compaction, Ordering::Relaxed);
-        if m > 0 && max_sweeps > 0 {
-            self.dispatch_job(shared.clone());
-        }
-        for (slot, x) in shared.atomic_v.iter().zip(v.iter_mut()) {
-            *x = f64::from_bits(slot.load(Ordering::Relaxed));
-        }
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            *lane = LaneReport {
-                iterations: shared.lane_iters[j].load(Ordering::Relaxed),
-                residual: f64::from_bits(shared.lane_residual[j].load(Ordering::Relaxed)),
-                converged: shared.lane_converged[j].load(Ordering::Relaxed),
-            };
-        }
-        let sweeps = shared.sweeps_done.load(Ordering::Relaxed);
-        aggregate_report(lanes, sweeps, self.memory_bytes())
-    }
-
-    /// Scalar sharded solve: runs as a one-lane batch on the prebuilt
-    /// `k = 1` shard job (bitwise-free by the batch-of-1 ≡ solo
-    /// contract), keeping [`TierEngine::solve`]'s error semantics.
-    fn solve_sharded(
+    /// Scalar banded solve: runs as a one-lane batch on the `k = 1`
+    /// [`SweepJob`] (bitwise-free by the batch-of-1 ≡ solo contract),
+    /// keeping [`TierEngine::solve`]'s error semantics.
+    fn solve_banded(
         &mut self,
         injection: &[f64],
         v: &mut [f64],
@@ -2105,15 +1725,12 @@ impl TierEngine {
                 tolerance,
             });
         }
-        let shared = Arc::clone(&self.shard.as_ref().expect("sharded state").scalar);
         let mut lanes = [LaneReport {
             iterations: 0,
             residual: f64::INFINITY,
             converged: false,
         }];
-        let sweeps = self.run_sharded(
-            &shared, injection, v, tolerance, max_sweeps, omega, &mut lanes,
-        );
+        let sweeps = self.run_banded(injection, v, tolerance, max_sweeps, omega, &mut lanes);
         if lanes[0].converged {
             Ok(SolveReport {
                 iterations: sweeps,
@@ -2130,15 +1747,14 @@ impl TierEngine {
         }
     }
 
-    /// Publishes lane state and voltages into a [`ShardShared`] job,
-    /// scatters `v` into the per-shard halo images (halo rows included,
-    /// so the first red half-sweep reads correct neighbour values), runs
-    /// the job, and gathers the **owned** rows back. Returns the sweep
-    /// count. Warm calls are allocation-free on the pool dispatch.
-    #[allow(clippy::too_many_arguments)] // mirrors solve_batch_parallel + job
-    fn run_sharded(
+    /// Publishes lane state and voltages into the [`SweepJob`] for
+    /// `lanes.len()` lanes, scatters `v` into the per-band halo images
+    /// (halo rows included, so the first red half-sweep reads correct
+    /// neighbour values), runs the job on the pool, and gathers the
+    /// **owned** rows back. Returns the sweep count. Warm calls are
+    /// allocation-free.
+    fn run_banded(
         &mut self,
-        shared: &Arc<ShardShared>,
         injection: &[f64],
         v: &mut [f64],
         tolerance: f64,
@@ -2146,16 +1762,21 @@ impl TierEngine {
         omega: f64,
         lanes: &mut [LaneReport],
     ) -> usize {
-        let k = shared.k;
+        let k = lanes.len();
+        let job = self
+            .shard
+            .as_mut()
+            .expect("banded dispatch state")
+            .job(&self.topo, k);
         let wk = self.topo.width * k;
         {
-            let mut input = shared.input.write().expect("shard input lock");
+            let mut input = job.input.write().expect("sweep job input lock");
             input.injection.copy_from_slice(injection);
             input.omega = omega;
             input.tolerance = tolerance;
             input.max_sweeps = max_sweeps;
         }
-        for (band, buf) in shared.layout.bands.iter().zip(&shared.bufs) {
+        for (band, buf) in job.layout.bands.iter().zip(&job.bufs) {
             let g0 = band.lo * wk;
             for (slot, &x) in buf.iter().zip(&v[g0..]) {
                 slot.store(x.to_bits(), Ordering::Relaxed);
@@ -2163,23 +1784,24 @@ impl TierEngine {
         }
         let mut m = 0usize;
         for (j, lane) in lanes.iter().enumerate() {
-            shared.lane_iters[j].store(lane.iterations, Ordering::Relaxed);
-            shared.lane_residual[j].store(lane.residual.to_bits(), Ordering::Relaxed);
-            shared.lane_converged[j].store(lane.converged, Ordering::Relaxed);
-            shared.active[j].store(!lane.converged, Ordering::Relaxed);
+            job.lane_iters[j].store(lane.iterations, Ordering::Relaxed);
+            job.lane_residual[j].store(lane.residual.to_bits(), Ordering::Relaxed);
+            job.lane_converged[j].store(lane.converged, Ordering::Relaxed);
+            job.active[j].store(!lane.converged, Ordering::Relaxed);
             if !lane.converged {
-                shared.active_ids[m].store(j as u32, Ordering::Relaxed);
+                job.active_ids[m].store(j as u32, Ordering::Relaxed);
                 m += 1;
             }
         }
-        shared.n_active.store(m, Ordering::Relaxed);
-        shared.sweeps_done.store(0, Ordering::Relaxed);
-        shared.status.store(RUN, Ordering::Relaxed);
-        shared.compaction.store(self.compaction, Ordering::Relaxed);
+        job.n_active.store(m, Ordering::Relaxed);
+        job.sweeps_done.store(0, Ordering::Relaxed);
+        job.status.store(RUN, Ordering::Relaxed);
+        job.compaction.store(self.compaction, Ordering::Relaxed);
         if m > 0 && max_sweeps > 0 {
-            self.dispatch_job(Arc::clone(shared) as Arc<dyn PoolJob>);
+            let pool = self.pool.as_deref().unwrap_or_else(|| WorkerPool::global());
+            pool.run(self.topo.threads, Arc::clone(&job) as Arc<dyn PoolJob>);
         }
-        for (band, buf) in shared.layout.bands.iter().zip(&shared.bufs) {
+        for (band, buf) in job.layout.bands.iter().zip(&job.bufs) {
             let own = (band.y0 - band.lo) * wk;
             let len = (band.y1 - band.y0) * wk;
             let g0 = band.y0 * wk;
@@ -2189,12 +1811,12 @@ impl TierEngine {
         }
         for (j, lane) in lanes.iter_mut().enumerate() {
             *lane = LaneReport {
-                iterations: shared.lane_iters[j].load(Ordering::Relaxed),
-                residual: f64::from_bits(shared.lane_residual[j].load(Ordering::Relaxed)),
-                converged: shared.lane_converged[j].load(Ordering::Relaxed),
+                iterations: job.lane_iters[j].load(Ordering::Relaxed),
+                residual: f64::from_bits(job.lane_residual[j].load(Ordering::Relaxed)),
+                converged: job.lane_converged[j].load(Ordering::Relaxed),
             };
         }
-        shared.sweeps_done.load(Ordering::Relaxed)
+        job.sweeps_done.load(Ordering::Relaxed)
     }
 
     /// Estimated heap footprint in bytes.
@@ -2202,20 +1824,9 @@ impl TierEngine {
         use std::mem::size_of;
         self.topo.memory_bytes()
             + self.scratch.capacity() * size_of::<f64>()
-            + self
-                .scoped_scratch
-                .iter()
-                .map(WorkerScratch::memory_bytes)
-                .sum::<usize>()
             + self.batch.memory_bytes()
             + self.mixed.memory_bytes()
-            + self.par.as_ref().map_or(0, |p| p.memory_bytes())
-            + self.batch_par.as_ref().map_or(0, |b| b.memory_bytes())
-            + self.shard.as_ref().map_or(0, |s| {
-                s.layout.memory_bytes()
-                    + s.scalar.memory_bytes()
-                    + s.batch.as_ref().map_or(0, |b| b.memory_bytes())
-            })
+            + self.shard.as_ref().map_or(0, ShardState::memory_bytes)
     }
 
     fn check_call(&self, injection: &[f64], v: &[f64], omega: f64) -> Result<(), SolverError> {
@@ -2325,110 +1936,6 @@ impl TierEngine {
         }
         max_delta
     }
-
-    /// Full multi-threaded solve through the persistent worker pool.
-    fn solve_parallel(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> Result<SolveReport, SolverError> {
-        if max_sweeps == 0 {
-            return Err(SolverError::DidNotConverge {
-                iterations: 0,
-                residual: f64::INFINITY,
-                tolerance,
-            });
-        }
-        let (sweeps, residual) = self.parallel_sweeps(injection, v, tolerance, max_sweeps, omega);
-        if residual < tolerance {
-            Ok(SolveReport {
-                iterations: sweeps,
-                residual,
-                converged: true,
-                workspace_bytes: self.memory_bytes(),
-            })
-        } else {
-            Err(SolverError::DidNotConverge {
-                iterations: sweeps,
-                residual,
-                tolerance,
-            })
-        }
-    }
-
-    /// Runs up to `max_sweeps` red-black sweeps on the prebuilt parallel
-    /// job (loading `v` into the atomic image first and storing it back
-    /// after), stopping early once the sweep delta drops below
-    /// `tolerance`. Returns `(sweeps run, last delta)`. Warm calls are
-    /// allocation-free on the pool dispatch.
-    fn parallel_sweeps(
-        &mut self,
-        injection: &[f64],
-        v: &mut [f64],
-        tolerance: f64,
-        max_sweeps: usize,
-        omega: f64,
-    ) -> (usize, f64) {
-        let shared = Arc::clone(self.par.as_ref().expect("parallel shared state"));
-        {
-            let mut input = shared.input.write().expect("par input lock");
-            input.injection.copy_from_slice(injection);
-            input.omega = omega;
-            input.tolerance = tolerance;
-            input.max_sweeps = max_sweeps;
-        }
-        for (slot, &x) in shared.atomic_v.iter().zip(v.iter()) {
-            slot.store(x.to_bits(), Ordering::Relaxed);
-        }
-        shared.status.store(RUN, Ordering::Relaxed);
-        shared.sweeps_done.store(0, Ordering::Relaxed);
-        shared
-            .final_delta
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.dispatch_job(shared.clone());
-        for (slot, x) in shared.atomic_v.iter().zip(v.iter_mut()) {
-            *x = f64::from_bits(slot.load(Ordering::Relaxed));
-        }
-        (
-            shared.sweeps_done.load(Ordering::Relaxed),
-            f64::from_bits(shared.final_delta.load(Ordering::Relaxed)),
-        )
-    }
-
-    /// Hands a prepared job to the configured dispatch backend and blocks
-    /// until it drains.
-    fn dispatch_job(&mut self, job: Arc<dyn PoolJob>) {
-        let threads = self.topo.threads;
-        match self.dispatch {
-            ParDispatch::Pool => match &self.pool {
-                Some(pool) => pool.run(threads, job),
-                None => WorkerPool::global().run(threads, job),
-            },
-            ParDispatch::ScopedSpawn => {
-                // The pre-pool behaviour, kept as a benchmark baseline:
-                // fresh threads every solve, engine-owned reusable
-                // scratch (like the old per-engine scratch vectors), so
-                // the pool-vs-scoped delta measures dispatch cost alone.
-                if self.scoped_scratch.len() < threads {
-                    self.scoped_scratch
-                        .resize_with(threads, WorkerScratch::default);
-                }
-                let scratches = &mut self.scoped_scratch;
-                std::thread::scope(|scope| {
-                    let mut iter = scratches.iter_mut();
-                    let lead = iter.next().expect("thread-0 scratch");
-                    for (i, ws) in iter.enumerate() {
-                        let job = &*job;
-                        scope.spawn(move || job.run(i + 1, ws));
-                    }
-                    job.run(0, lead);
-                });
-            }
-        }
-    }
 }
 
 /// Collapses per-lane outcomes into the aggregate [`SolveReport`] of a
@@ -2443,7 +1950,7 @@ fn aggregate_report(lanes: &[LaneReport], sweeps: usize, workspace_bytes: usize)
 }
 
 /// Read/write access to the voltage image, monomorphized so the slice
-/// (single-thread) and atomic (multi-thread) paths share one kernel.
+/// (single-thread) and banded atomic (pool) paths share one kernel.
 trait VoltView {
     fn get(&self, i: usize) -> f64;
     fn set(&mut self, i: usize, value: f64);
@@ -2463,39 +1970,23 @@ impl VoltView for SliceView<'_> {
     }
 }
 
-/// Atomic image view. Relaxed ordering suffices: phase barriers establish
-/// the happens-before edges between writers of one color and readers of
-/// the next phase, and within a phase no two threads touch the same node.
-struct AtomicView<'a>(&'a [AtomicU64]);
-
-impl VoltView for AtomicView<'_> {
-    #[inline(always)]
-    fn get(&self, i: usize) -> f64 {
-        f64::from_bits(self.0[i].load(Ordering::Relaxed))
-    }
-
-    #[inline(always)]
-    fn set(&mut self, i: usize, value: f64) {
-        self.0[i].store(value.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// A shard's halo-extended image viewed in **global** node coordinates:
-/// the kernels keep indexing `node * k + j` exactly as on the global
-/// image, and the view translates into the shard-local buffer (whose
-/// slot 0 is global row `lo`). Every index a kernel touches while
-/// sweeping a shard's owned segments — own row, in-row pinned
+/// A band's atomic halo-extended image viewed in **global** node
+/// coordinates: the kernels keep indexing `node * k + j` exactly as on
+/// the global image, and the view translates into the band-local buffer
+/// (whose slot 0 is global row `lo`). Every index a kernel touches while
+/// sweeping a band's owned segments — own row, in-row pinned
 /// neighbours, and the rows above/below — lies inside `lo..hi`, so the
-/// offset never underflows. Same relaxed-ordering argument as
-/// [`AtomicView`], with the halo exchange supplying the cross-shard
-/// edges.
-struct ShardAtomicView<'a> {
+/// offset never underflows. Relaxed ordering suffices: the phase
+/// barriers order the writers of one color before the readers of the
+/// next phase, within a phase no two threads touch the same node, and
+/// the halo exchange supplies the cross-band edges.
+struct BandView<'a> {
     buf: &'a [AtomicU64],
-    /// `lo * width * k` of the shard this view wraps.
+    /// `lo * width * k` of the band this view wraps.
     off: usize,
 }
 
-impl VoltView for ShardAtomicView<'_> {
+impl VoltView for BandView<'_> {
     #[inline(always)]
     fn get(&self, i: usize) -> f64 {
         f64::from_bits(self.buf[i - self.off].load(Ordering::Relaxed))
@@ -3161,30 +2652,6 @@ fn solve_segment_batch_f32_block(
     }
 }
 
-/// Splits `idx` into `threads` contiguous chunks with approximately equal
-/// total node counts (rows can have very different free-node counts when
-/// pins cluster).
-fn balance_chunks(segments: &[Segment], idx: &[u32], threads: usize) -> Vec<Range<usize>> {
-    let total: usize = idx.iter().map(|&i| segments[i as usize].len as usize).sum();
-    let mut chunks = Vec::with_capacity(threads);
-    let mut pos = 0usize;
-    let mut acc = 0usize;
-    for t in 0..threads {
-        let begin = pos;
-        if t + 1 == threads {
-            pos = idx.len();
-        } else {
-            let target = total * (t + 1) / threads;
-            while pos < idx.len() && acc < target {
-                acc += segments[idx[pos] as usize].len as usize;
-                pos += 1;
-            }
-        }
-        chunks.push(begin..pos);
-    }
-    chunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3257,8 +2724,14 @@ mod tests {
 
     #[test]
     fn redblack_is_thread_count_invariant() {
-        for seed in [2u64, 7] {
-            let (w, h) = (17, 12);
+        // Besides two random 17×12 tiers: a 1-row tier (one band, so the
+        // other workers idle) and a 3-row tier, fewer rows than 4 threads.
+        for (seed, w, h) in [
+            (2u64, 17usize, 12usize),
+            (7, 17, 12),
+            (3, 15, 1),
+            (5, 13, 3),
+        ] {
             let (fixed, v0, injection) = random_problem(seed, w, h);
             let mut v1 = v0.clone();
             engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
@@ -3271,28 +2744,25 @@ mod tests {
                     .unwrap();
                 assert_eq!(
                     v1, vt,
-                    "seed {seed}, {threads} threads must be bitwise equal"
+                    "seed {seed} {w}x{h}, {threads} threads must be bitwise equal"
                 );
             }
         }
     }
 
     #[test]
-    fn pool_and_scoped_dispatch_are_bitwise_identical() {
-        let (w, h) = (19, 14);
-        let (fixed, v0, injection) = random_problem(6, w, h);
-        let mut v_pool = v0.clone();
-        let rep_pool = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 3 })
-            .solve(&injection, &mut v_pool, 1e-10, 100_000)
-            .unwrap();
-        let mut v_scoped = v0.clone();
-        let mut e = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 3 });
-        e.set_dispatch(ParDispatch::ScopedSpawn);
-        assert_eq!(e.dispatch(), ParDispatch::ScopedSpawn);
-        let rep_scoped = e.solve(&injection, &mut v_scoped, 1e-10, 100_000).unwrap();
-        assert_eq!(v_pool, v_scoped);
-        assert_eq!(rep_pool.iterations, rep_scoped.iterations);
-        assert_eq!(rep_pool.residual.to_bits(), rep_scoped.residual.to_bits());
+    fn unsharded_parallel_engine_gives_every_worker_a_band() {
+        let (fixed, _, _) = random_problem(4, 31, 23);
+        for (h, threads) in [(23usize, 2usize), (23, 5), (4, 4), (3, 2)] {
+            let e = engine(31, h, &fixed[..31 * h], SweepSchedule::RedBlack { threads });
+            assert_eq!(e.shards(), 1, "one band per thread is not sharding");
+            let lay = &e.shard.as_ref().expect("banded dispatch").layout;
+            assert_eq!(lay.num_shards(), threads);
+            assert_eq!(lay.chunks.len(), threads);
+            for (tid, c) in lay.chunks.iter().enumerate() {
+                assert!(!c.is_empty(), "h {h} threads {threads}: worker {tid} idles");
+            }
+        }
     }
 
     #[test]
@@ -3636,22 +3106,25 @@ mod tests {
 
     #[test]
     fn batch_redblack_is_thread_count_invariant() {
-        let (w, h, k) = (17, 12, 3);
-        let (fixed, v0s, injections) = batch_fixture(8, w, h, k);
-        let injection = interleave(&injections);
-        let mut v1 = interleave(&v0s);
-        let mut lanes1 = vec![LaneReport::default(); k];
-        engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
-            .solve_batch(&injection, &mut v1, 1e-10, 100_000, &mut lanes1)
-            .unwrap();
-        for threads in [2usize, 4] {
-            let mut vt = interleave(&v0s);
-            let mut lanes = vec![LaneReport::default(); k];
-            engine(w, h, &fixed, SweepSchedule::RedBlack { threads })
-                .solve_batch(&injection, &mut vt, 1e-10, 100_000, &mut lanes)
+        let k = 3;
+        // The same degenerate geometries as the scalar test.
+        for (seed, w, h) in [(8u64, 17usize, 12usize), (3, 15, 1), (5, 13, 3)] {
+            let (fixed, v0s, injections) = batch_fixture(seed, w, h, k);
+            let injection = interleave(&injections);
+            let mut v1 = interleave(&v0s);
+            let mut lanes1 = vec![LaneReport::default(); k];
+            engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 1 })
+                .solve_batch(&injection, &mut v1, 1e-10, 100_000, &mut lanes1)
                 .unwrap();
-            assert_eq!(v1, vt, "{threads} threads must be bitwise equal");
-            assert_eq!(lanes, lanes1);
+            for threads in [2usize, 4] {
+                let mut vt = interleave(&v0s);
+                let mut lanes = vec![LaneReport::default(); k];
+                engine(w, h, &fixed, SweepSchedule::RedBlack { threads })
+                    .solve_batch(&injection, &mut vt, 1e-10, 100_000, &mut lanes)
+                    .unwrap();
+                assert_eq!(v1, vt, "{w}x{h}, {threads} threads must be bitwise equal");
+                assert_eq!(lanes, lanes1);
+            }
         }
     }
 
@@ -4037,29 +3510,6 @@ mod tests {
             after_first,
             "warm mixed solves must reuse the sized f32 workspace"
         );
-    }
-
-    #[test]
-    fn chunks_cover_all_segments_without_overlap() {
-        let (w, h) = (31, 23);
-        let (fixed, _, _) = random_problem(4, w, h);
-        let e = engine(w, h, &fixed, SweepSchedule::RedBlack { threads: 5 });
-        let topo = &e.topo;
-        for (idx, chunks) in [
-            (&topo.red_idx, &topo.red_chunks),
-            (&topo.black_idx, &topo.black_chunks),
-        ] {
-            assert_eq!(chunks.len(), 5);
-            let mut covered = 0usize;
-            let mut expect_begin = 0usize;
-            for c in chunks.iter() {
-                assert_eq!(c.start, expect_begin, "chunks must be contiguous");
-                expect_begin = c.end;
-                covered += c.len();
-            }
-            assert_eq!(covered, idx.len());
-            assert_eq!(expect_begin, idx.len());
-        }
     }
 
     fn sharded_engine(

@@ -11,11 +11,10 @@
 //!   serving-grade form is [`PcgEngine`]: the full 3-D system stamped
 //!   and the IC(0) factor built once, warm solves allocation-free —
 //!   `voltprop_core::Session` routes `Backend::Pcg` through it.
-//! * **Stationary** — [`relax`] (point Jacobi / Gauss–Seidel / SOR), the
-//!   structured [`RowBased`] method of Zhong & Wong (ref \[5\]) that the VP
-//!   algorithm builds on, and [`Rb3d`], the naive extension of row-based
-//!   iteration to 3-D whose convergence collapses when TSVs are strong
-//!   (the paper's §III-A motivation).
+//! * **Stationary** — the structured [`RowBased`] method of Zhong &
+//!   Wong (ref \[5\]) that the VP algorithm builds on, and [`Rb3d`], the
+//!   naive extension of row-based iteration to 3-D whose convergence
+//!   collapses when TSVs are strong (the paper's §III-A motivation).
 //! * **Stochastic** — [`RandomWalkSolver`] (ref \[4\]), including the walk
 //!   length statistics that expose the "trapped in TSVs" pathology.
 //!
@@ -45,9 +44,9 @@
 //! Multi-threaded solves run on the persistent [`WorkerPool`]: threads
 //! are spawned once per process, park between solves, and keep their
 //! substitution scratch pinned, so **warm parallel solves are
-//! allocation-free** end to end — the former per-solve scoped thread
-//! spawn (~60 allocator calls) survives only as the
-//! [`engine::ParDispatch::ScopedSpawn`] benchmark baseline.
+//! allocation-free** end to end. Every multi-threaded solve runs one
+//! banded pool job, one row band per thread (or one per shard for
+//! [`TierEngine::new_sharded`]).
 //! [`Rb3d::parallelism`] and `voltprop_core`'s `VpConfig::parallelism`
 //! expose the thread knob one level up.
 //!
@@ -93,7 +92,6 @@ pub mod pool;
 mod precond;
 pub mod random_walk;
 pub mod rb3d;
-pub mod relax;
 mod report;
 pub mod residual;
 pub mod rowbased;
@@ -102,7 +100,7 @@ mod traits;
 pub use amg::AmgHierarchy;
 pub use cg::ConjugateGradient;
 pub use direct::DirectCholesky;
-pub use engine::{ParDispatch, SweepSchedule, TierEngine};
+pub use engine::{SweepSchedule, TierEngine};
 pub use error::SolverError;
 pub use pcg::{Pcg, PcgEngine};
 pub use pool::{PoolJob, WorkerPool, WorkerScratch};

@@ -344,21 +344,20 @@ impl PcgEngine {
         stack.validate()?;
         let nn = stack.num_nodes();
         let sys = stack.stamp_dynamic(NetKind::Power, alpha)?;
-        let ground = stack.stamp_dynamic(NetKind::Ground, alpha)?;
-        debug_assert_eq!(sys.dim(), ground.dim(), "nets share the conductance matrix");
         let dim = sys.dim();
 
         // The stamped RHS is (load-independent rail folding) + sign·loads
         // on the free nodes; subtracting the build-time load contribution
-        // leaves the base each request's loads are re-added to.
+        // leaves the base each request's loads are re-added to. The ground
+        // rail is 0 V, so every folding term of the ground net vanishes
+        // and its base is zero: the ground net needs no stamp of its own.
         let mut rhs_base_power = sys.rhs().to_vec();
-        let mut rhs_base_ground = ground.rhs().to_vec();
         for (node, &load) in stack.loads().iter().enumerate() {
             if let Some(ri) = sys.reduced_index(node) {
                 rhs_base_power[ri] += load; // power stamps −load
-                rhs_base_ground[ri] -= load; // ground stamps +load
             }
         }
+        let rhs_base_ground = vec![0.0; dim];
 
         let precond = match IncompleteCholesky::new(sys.matrix()) {
             Ok(ic) => EnginePrecond::Ic0(ic),
@@ -756,6 +755,33 @@ mod tests {
             let one_shot = Pcg::default().solve_stack(&stack, net).unwrap();
             let drift = crate::residual::max_abs_error(&one_shot.voltages, &v);
             assert!(drift < 1e-9, "{net:?}: engine vs one-shot drift {drift}");
+        }
+    }
+
+    #[test]
+    fn ground_net_rhs_base_is_zero() {
+        // The build skips the ground stamp because its load-independent
+        // base is zero; the stamped ground system must agree bitwise for
+        // ideal and resistive pads, with and without a companion term.
+        let ideal = bench_stack();
+        let resistive = Stack3d::builder(9, 7, 3)
+            .uniform_load(2e-4)
+            .pad_resistance(0.05)
+            .grid_capacitance(1e-12)
+            .build()
+            .unwrap();
+        for (stack, alpha) in [(&ideal, 0.0), (&resistive, 0.0), (&resistive, 5e10)] {
+            let ground = stack.stamp_dynamic(NetKind::Ground, alpha).unwrap();
+            let mut base = ground.rhs().to_vec();
+            for (node, &load) in stack.loads().iter().enumerate() {
+                if let Some(ri) = ground.reduced_index(node) {
+                    base[ri] -= load;
+                }
+            }
+            assert!(
+                base.iter().all(|b| b.to_bits() == 0),
+                "alpha {alpha}: nonzero ground base"
+            );
         }
     }
 
