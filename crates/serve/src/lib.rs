@@ -8,7 +8,12 @@
 //! scratch checkout pool: up to `slots` requests solve in parallel,
 //! later arrivals queue briefly, and sustained excess is shed with
 //! typed errors. The wire protocol is newline-delimited JSON — see
-//! [`proto`] for the request/response schema.
+//! [`proto`] for the request/response schema. Both ends write a line
+//! as its body and then its newline, so both disable Nagle's algorithm
+//! (`TCP_NODELAY`) on every socket: [`Client`] on connect, the daemon
+//! on accept. A third-party client that sends a line in more than one
+//! write must set `TCP_NODELAY` too, or its trailing bytes wait for the
+//! daemon's delayed ACK and each request pays ~40 ms.
 //!
 //! ```no_run
 //! use voltprop_serve::{request, serve, ServeConfig};
@@ -100,14 +105,17 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a running daemon.
+    /// Connects to a running daemon, with Nagle's algorithm off so the
+    /// newline written after each request body leaves at once.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying connect failure.
+    /// Propagates the underlying connect or socket-option failure.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(TcpStream::connect(addr)?),
+            reader: BufReader::new(stream),
         })
     }
 
@@ -146,4 +154,17 @@ impl Client {
 /// Propagates the underlying socket failures.
 pub fn request(addr: impl ToSocketAddrs, line: &str) -> std::io::Result<String> {
     Client::connect(addr)?.request(line)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_disables_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
 }

@@ -13,8 +13,9 @@
 //! ephemeral port, printed on stdout) and serves until a `shutdown`
 //! request arrives. With `--smoke`, runs an in-process self-test: start
 //! on an ephemeral port, fire concurrent solve requests from `--clients`
-//! client threads, check the registry cached exactly one session, and
-//! shut down cleanly — exiting non-zero on any failed check. With
+//! client threads, check the registry cached exactly one session and
+//! the median warm round trip stays under 20 ms, and shut down cleanly
+//! — exiting non-zero on any failed check. With
 //! `--soak`, runs the overload/fault-injection harness: a chaos-enabled
 //! server under `--clients` mixed abusive clients for `--seconds`,
 //! asserting the robustness invariants (typed shedding only, registry
@@ -175,18 +176,26 @@ fn parse_positive(text: &str, flag: &str) -> usize {
     n
 }
 
+/// Median warm round trip (ms) at or above which `--smoke` fails. A warm
+/// 12×12×3 solve round trip takes a few milliseconds at most on
+/// loopback, while one Nagle / delayed-ACK stall on the wire costs ~40 ms.
+const SMOKE_WARM_RTT_LIMIT_MS: f64 = 20.0;
+
 /// In-process self-test: N client threads × 3 solve requests each (two
 /// load levels and one explicit-params request) against one geometry,
-/// then registry and shutdown checks.
+/// then registry, warm-latency and shutdown checks. The warm round trips
+/// are every request after each client's first (which may build the
+/// session).
 fn run_smoke(config: ServeConfig, clients: usize) -> Result<String, String> {
     let server: ServerHandle =
         serve("127.0.0.1:0", config).map_err(|e| format!("bind failed: {e}"))?;
     let addr = server.addr();
 
+    let mut warm_ms: Vec<f64> = Vec::new();
     let failures: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients.max(1))
             .map(|c| {
-                scope.spawn(move || -> Result<(), String> {
+                scope.spawn(move || -> Result<Vec<f64>, String> {
                     let mut client = Client::connect(addr)
                         .map_err(|e| format!("client {c} connect: {e}"))?;
                     let requests = [
@@ -197,10 +206,15 @@ fn run_smoke(config: ServeConfig, clients: usize) -> Result<String, String> {
                         ),
                         r#"{"op":"solve","stack":{"width":12,"height":12,"tiers":3,"tsv_pitch":2,"loads":1e-4},"backend":"pcg","params":{"inner_tolerance":1e-8}}"#.to_string(),
                     ];
+                    let mut warm_ms = Vec::with_capacity(requests.len() - 1);
                     for (i, line) in requests.iter().enumerate() {
+                        let sent_at = Instant::now();
                         let reply = client
                             .request(line)
                             .map_err(|e| format!("client {c} request {i}: {e}"))?;
+                        if i > 0 {
+                            warm_ms.push(sent_at.elapsed().as_secs_f64() * 1e3);
+                        }
                         let value = Json::parse(&reply)
                             .map_err(|e| format!("client {c} reply {i} unparsable: {e}"))?;
                         if value.get("ok").and_then(Json::as_bool) != Some(true) {
@@ -210,14 +224,17 @@ fn run_smoke(config: ServeConfig, clients: usize) -> Result<String, String> {
                             return Err(format!("client {c} request {i} did not converge: {reply}"));
                         }
                     }
-                    Ok(())
+                    Ok(warm_ms)
                 })
             })
             .collect();
         handles
             .into_iter()
             .filter_map(|h| match h.join() {
-                Ok(Ok(())) => None,
+                Ok(Ok(ms)) => {
+                    warm_ms.extend(ms);
+                    None
+                }
                 Ok(Err(what)) => Some(what),
                 Err(_) => Some("client thread panicked".to_string()),
             })
@@ -246,8 +263,17 @@ fn run_smoke(config: ServeConfig, clients: usize) -> Result<String, String> {
     }
     drop(server); // joins the accept loop and all handlers
 
+    warm_ms.sort_unstable_by(f64::total_cmp);
+    let median_ms = warm_ms[warm_ms.len() / 2];
+    if median_ms >= SMOKE_WARM_RTT_LIMIT_MS {
+        return Err(format!(
+            "median warm round trip {median_ms:.2} ms >= {SMOKE_WARM_RTT_LIMIT_MS} ms \
+             (a Nagle / delayed-ACK stall on the wire?)"
+        ));
+    }
     Ok(format!(
-        "{} clients x 3 requests, 1 cached session, clean shutdown",
+        "{} clients x 3 requests, median warm round trip {median_ms:.2} ms, \
+         1 cached session, clean shutdown",
         clients.max(1)
     ))
 }
@@ -426,10 +452,6 @@ fn run_soak(mut config: ServeConfig, clients: usize, seconds: u64) -> Result<Str
     ))
 }
 
-/// One abusive soak client: rotates geometries (forcing eviction
-/// churn), short deadlines, garbage lines, pings, info probes, and
-/// periodic connection storms until `stop_at`, reconnecting whenever
-/// chaos kills its connection.
 /// Opens `cap + 1` simultaneous connections and pings each: with the
 /// client's own connection already open, at least one must land past the
 /// server's cap and receive the typed `overloaded` shed line.
@@ -438,6 +460,7 @@ fn connection_storm(addr: std::net::SocketAddr, cap: usize, tally: &mut SoakTall
         .filter_map(|_| std::net::TcpStream::connect(addr).ok())
         .collect();
     for stream in streams {
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
         let mut writer = match stream.try_clone() {
             Ok(clone) => clone,
@@ -479,6 +502,10 @@ fn connection_storm(addr: std::net::SocketAddr, cap: usize, tally: &mut SoakTall
     }
 }
 
+/// One abusive soak client: rotates geometries (forcing eviction
+/// churn), short deadlines, garbage lines, pings, info probes, and
+/// periodic connection storms until `stop_at`, reconnecting whenever
+/// chaos kills its connection.
 fn soak_client(
     addr: std::net::SocketAddr,
     seed: u64,
@@ -495,6 +522,9 @@ fn soak_client(
                 continue;
             }
         };
+        // The request goes out as line then newline: without NODELAY
+        // the newline waits ~40 ms for the server's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(12)));
         let mut writer = match stream.try_clone() {
             Ok(clone) => clone,

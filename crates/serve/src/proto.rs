@@ -36,6 +36,16 @@
 //! failures carry `"ok":false` and a typed
 //! `"error":{"kind":…,"message":…}` object. The server never answers a
 //! request by dropping the connection.
+//!
+//! # Framing
+//!
+//! A line ends at its `\n`; both ends write the body and then the
+//! newline as two writes, with Nagle's algorithm off (`TCP_NODELAY`) on
+//! both sockets so the newline is not held back. A third-party client
+//! that sends a line in more than one write must set `TCP_NODELAY` as
+//! well: otherwise its newline waits for the daemon's delayed ACK, which
+//! the daemon withholds because it is still waiting for that newline,
+//! and every request pays ~40 ms (the Linux delayed-ACK timer).
 
 use crate::json::Json;
 use voltprop_core::{Backend, Precision, SolveParams};

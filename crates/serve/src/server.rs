@@ -456,6 +456,10 @@ impl RateWindow {
 }
 
 fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, ordinal: u64) {
+    // Responses go out as body then newline in two writes; with Nagle
+    // on, the newline would wait for the client's delayed ACK (~40 ms).
+    // The clone below shares the socket, so this covers the writer.
+    let _ = stream.set_nodelay(true);
     // The read timeout turns blocked reads into periodic stop-flag
     // checks so shutdown can drain every handler.
     let _ = stream.set_read_timeout(Some(POLL_TICK));
@@ -508,7 +512,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
             LineRead::Line => {
                 partial_since = None;
                 let line = match std::str::from_utf8(&buf) {
-                    Ok(line) => line.trim().to_string(),
+                    Ok(line) => line.trim(),
                     Err(_) => {
                         // Non-UTF-8 on the wire: line framing survives
                         // (the newline was found), but the request is
@@ -522,13 +526,13 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
                         return;
                     }
                 };
-                buf.clear();
                 if line.is_empty() {
+                    buf.clear();
                     continue;
                 }
                 shared.counters.requests.fetch_add(1, Ordering::SeqCst);
                 let (response, stop_after) = match rate.admit(shared.config.max_rps_per_conn) {
-                    Ok(()) => handle_line(shared, &line, &mut chaos_rng),
+                    Ok(()) => handle_line(shared, line, &mut chaos_rng),
                     Err(left_ms) => {
                         shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
                         let err = ServeError::overloaded(
@@ -544,6 +548,7 @@ fn handle_connection(stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>, 
                 if deliver(shared, &mut writer, &response, &mut chaos_rng).is_err() {
                     return;
                 }
+                buf.clear();
                 if stop_after {
                     shared.stop.store(true, Ordering::SeqCst);
                     // Unblock the accept loop so it drains.

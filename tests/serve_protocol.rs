@@ -6,7 +6,9 @@
 //!   that stays open — never a panic or a drop;
 //! * registry behavior on a geometry-hash miss is pinned for both build
 //!   policies: the default builds and caches, `"build":"reject"`
-//!   returns `geometry-not-cached`.
+//!   returns `geometry-not-cached`;
+//! * a warm round trip costs its own work, not the ~40 ms Nagle /
+//!   delayed-ACK stall a line written as body then newline would hit.
 
 use voltprop_serve::json::Json;
 use voltprop_serve::{request, serve, Client, ServeConfig};
@@ -285,4 +287,69 @@ fn shutdown_request_stops_the_daemon() {
     if let Ok(mut client) = Client::connect(server.addr()) {
         assert!(client.request(r#"{"op":"ping"}"#).is_err());
     }
+}
+
+/// Median of `n` sequential round trips of `line` on one connection, in
+/// milliseconds, after one untimed warm-up request.
+fn median_round_trip_ms(client: &mut Client, line: &str, n: usize) -> f64 {
+    let check = |reply: String| {
+        let value = Json::parse(&reply).expect("response is valid JSON");
+        assert_eq!(
+            value.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{reply}"
+        );
+    };
+    check(client.request(line).unwrap());
+    let mut ms: Vec<f64> = (0..n)
+        .map(|_| {
+            let sent_at = std::time::Instant::now();
+            let reply = client.request(line).unwrap();
+            let elapsed = sent_at.elapsed().as_secs_f64() * 1e3;
+            check(reply);
+            elapsed
+        })
+        .collect();
+    ms.sort_unstable_by(f64::total_cmp);
+    ms[n / 2]
+}
+
+#[test]
+fn warm_round_trips_do_not_stall_on_delayed_acks() {
+    // Each end writes a line as body then newline. With Nagle on, the
+    // newline waits for the peer's delayed ACK (~40 ms on Linux), so the
+    // bound sits far below that floor and far above a loopback round trip.
+    const LIMIT_MS: f64 = 20.0;
+    let server = start();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let ping = median_round_trip_ms(&mut client, r#"{"op":"ping"}"#, 21);
+    assert!(ping < LIMIT_MS, "median ping round trip {ping:.2} ms");
+
+    // A 64x64x3 solve with explicit per-node loads: a request line of
+    // several hundred KB, split across many TCP segments. The Rb3d
+    // backend keeps the solve itself at a few ms even in the debug
+    // profile with mixed precision forced, where the default backend's
+    // single-RHS mixed path alone takes ~20 ms.
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let loads: Vec<String> = (0..64 * 64 * 3)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            format!("{}", 2e-5 + 1.8e-4 * unit)
+        })
+        .collect();
+    let solve = format!(
+        r#"{{"op":"solve","stack":{{"width":64,"height":64,"tiers":3,"tsv_pitch":2,"loads":[{}]}},"backend":"rb3d"}}"#,
+        loads.join(",")
+    );
+    assert!(
+        solve.len() > 200_000,
+        "request line is {} bytes",
+        solve.len()
+    );
+    let big = median_round_trip_ms(&mut client, &solve, 21);
+    assert!(big < LIMIT_MS, "median large-solve round trip {big:.2} ms");
 }
